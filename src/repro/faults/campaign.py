@@ -33,6 +33,7 @@ silently merging apples into oranges.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -59,6 +60,7 @@ from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.spans import TRACER
 from repro.obs.status import CampaignStatusWriter, sum_counter
 from repro.probing.artifacts import (
+    CHECKSUM_KEY,
     atomic_write_bytes,
     atomic_write_text,
     canonical_json_bytes,
@@ -76,6 +78,7 @@ __all__ = [
     "CampaignInterrupted",
     "CampaignResult",
     "CampaignRunner",
+    "CheckpointWriter",
     "checkpoint_generation_path",
     "load_checkpoint",
     "load_checkpoint_with_fallback",
@@ -286,6 +289,78 @@ def checkpoint_generation_path(path: Union[str, Path]) -> Path:
     return path.with_name(path.name + ".1")
 
 
+def _json_object(fragments: Dict[str, str]) -> str:
+    """A JSON object from already-encoded member values, keys sorted
+    and separators compact — ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` of the decoded members, byte for byte."""
+    return "{" + ",".join(
+        json.dumps(key) + ":" + fragments[key] for key in sorted(fragments)
+    ) + "}"
+
+
+class CheckpointWriter:
+    """One campaign run's checkpoint writer.
+
+    Every write persists the whole state (``version``, ``fingerprint``,
+    ``completed``, ``attempts``) with its embedded sha256, so a
+    campaign of N VPs writes N full generations. The completed VPs'
+    entries are most of those bytes and never change once a VP
+    completes, so each entry is JSON-encoded once (keyed by name, and
+    re-encoded only if the entry object is replaced) and every
+    generation is assembled from the cached fragments. The canonical
+    body the digest covers and the file itself are the same fragments
+    without and with the ``sha256`` member, so every file is
+    byte-identical to ``json.dumps(embed_checksum(payload),
+    sort_keys=True, separators=(",", ":"))`` of the full payload.
+    """
+
+    def __init__(self, path: Path, fingerprint: str) -> None:
+        self.path = path
+        self._fixed = {
+            "fingerprint": json.dumps(fingerprint),
+            "version": json.dumps(CHECKPOINT_VERSION),
+        }
+        #: name -> (the VPRows object encoded, its JSON fragment).
+        self._entries: Dict[str, Tuple[VPRows, str]] = {}
+
+    def _entry(self, name: str, rows: VPRows) -> str:
+        cached = self._entries.get(name)
+        if cached is not None and cached[0] is rows:
+            return cached[1]
+        found, inprefix, quality = rows
+        # Tuples encode as JSON arrays, so rows/inprefix need no copy.
+        # ``quality`` is plain JSON data already; checkpointed so a
+        # resumed campaign reproduces the same sidecar and manifest
+        # bytes as an uninterrupted one.
+        fragment = json.dumps(
+            {"rows": found, "inprefix": inprefix, "quality": quality},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        self._entries[name] = (rows, fragment)
+        return fragment
+
+    def write(
+        self, completed: Dict[str, VPRows], attempts: Dict[str, int]
+    ) -> None:
+        members = dict(self._fixed)
+        members["completed"] = _json_object({
+            name: self._entry(name, rows) for name, rows in completed.items()
+        })
+        members["attempts"] = json.dumps(
+            attempts, sort_keys=True, separators=(",", ":")
+        )
+        body = _json_object(members).encode("utf-8")
+        members[CHECKSUM_KEY] = json.dumps(hashlib.sha256(body).hexdigest())
+        # Generation rotation: the current newest becomes ``.1`` so a
+        # corrupt write (or a corrupted-at-rest newest file) can be
+        # repaired from the previous complete state at load time.
+        path = self.path
+        if path.exists():
+            os.replace(path, checkpoint_generation_path(path))
+        atomic_write_bytes(path, _json_object(members).encode("utf-8"))
+
+
 def load_checkpoint(path: Union[str, Path]) -> dict:
     """Load + structurally validate a campaign checkpoint.
 
@@ -486,48 +561,6 @@ class CampaignRunner:
 
     # -- checkpointing -----------------------------------------------------
 
-    def _write_checkpoint(
-        self,
-        fingerprint: str,
-        completed: Dict[str, VPRows],
-        attempts: Dict[str, int],
-    ) -> None:
-        path = self.checkpoint_path
-        if path is None:
-            return
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "fingerprint": fingerprint,
-            "completed": {
-                name: {
-                    "rows": [list(row) for row in rows],
-                    "inprefix": [
-                        [dest_index, list(addrs)]
-                        for dest_index, addrs in inprefix
-                    ],
-                    # Plain JSON data already; checkpointed so a
-                    # resumed campaign reproduces the same sidecar and
-                    # manifest bytes as an uninterrupted one.
-                    "quality": quality,
-                }
-                for name, (rows, inprefix, quality) in completed.items()
-            },
-            "attempts": attempts,
-        }
-        # Generation rotation: the current newest becomes ``.1`` so a
-        # corrupt write (or a corrupted-at-rest newest file) can be
-        # repaired from the previous complete state at load time.
-        if path.exists():
-            os.replace(path, checkpoint_generation_path(path))
-        atomic_write_text(
-            path,
-            json.dumps(
-                embed_checksum(payload),
-                sort_keys=True,
-                separators=(",", ":"),
-            ),
-        )
-
     def _load_resume_state(
         self, fingerprint: str
     ) -> Tuple[Dict[str, VPRows], Dict[str, int], bool]:
@@ -603,6 +636,11 @@ class CampaignRunner:
         attempts: Dict[str, int] = {}
         resumed = 0
         checkpoint_repairs = 0
+        checkpoint = (
+            None
+            if self.checkpoint_path is None
+            else CheckpointWriter(self.checkpoint_path, fingerprint)
+        )
         if resume:
             if self.checkpoint_path is None:
                 raise ValueError("resume=True requires a checkpoint path")
@@ -839,9 +877,8 @@ class CampaignRunner:
                             self._attempts_ok.inc()
                             if tracker is not None:
                                 tracker.record(name, "ok")
-                            self._write_checkpoint(
-                                fingerprint, completed, attempts
-                            )
+                            if checkpoint is not None:
+                                checkpoint.write(completed, attempts)
                             completed_this_run += 1
                             if (
                                 self.kill_after_vps is not None

@@ -145,14 +145,17 @@ class FaultInjector:
             if isinstance(spec, RateLimitStorm)
         ]
 
-        # Misbehavior (lying-data) specs, in plan order: the first
-        # matching spec per (vp, dest, round) wins, so plan order is a
-        # priority order. Event counter children are pre-resolved per
-        # kind present in the plan.
-        self._misbehaviors = plan.misbehavior_specs()
+        # Misbehavior (lying-data) specs with their seeds, in plan
+        # order: the first matching spec per (vp, dest, round) wins, so
+        # plan order is a priority order. Event counter children are
+        # pre-resolved per kind present in the plan.
+        self._misbehaviors = [
+            (index, spec, plan.spec_seed(index))
+            for index, spec in plan.misbehavior_specs()
+        ]
         self._ev_misbehavior = {
             spec.KIND: events.labels(net_id, spec.KIND)
-            for _index, spec in self._misbehaviors
+            for _index, spec, _seed in self._misbehaviors
         }
         #: Campaign attempt this injector serves (set by
         #: ``run_vp_attempt``). Folded into the non-sticky hit-draw
@@ -222,10 +225,10 @@ class FaultInjector:
         self.network._set_rate_scale(
             self._storm_scale if self._storm_windows else None
         )
-        # Link flaps: the route churn invalidates the forward-path
-        # cache (value-deterministic — affects speed, never results).
+        # Link flaps need no cache invalidation: templates are keyed
+        # by the flap set live at send time, so compiled plans stay
+        # valid across sessions.
         if self._flap_windows:
-            self.network.invalidate_forward_paths()
             self._ev_flap.inc(len(self._flap_windows))
 
     def end_session(self) -> None:
@@ -312,16 +315,23 @@ class FaultInjector:
         # Distinct campaign attempts must re-roll non-sticky draws
         # independently of intra-attempt validation-retry rounds.
         salt_round = (self.attempt - 1) * 1024 + round_no
+        # One selector per spec per batch: the VP- and round-level
+        # parts of every draw are hashed here, not once per reply.
+        selectors = []
+        for index, spec, seed in self._misbehaviors:
+            select = spec.selector(seed, vp_name, salt_round)
+            if select is not None:
+                selectors.append((index, spec, seed, select))
+        if not selectors:
+            return pairs
         out = []
         for dest, outcome in pairs:
-            for index, spec in self._misbehaviors:
-                seed = self.plan.spec_seed(index)
-                if not spec.applies_to(
-                    seed, vp_name, dest.addr, salt_round
-                ):
+            addr = dest.addr
+            for index, spec, seed, select in selectors:
+                if not select(addr):
                     continue
                 tainted = self._taint(
-                    spec, seed, vp_name, dest, outcome, slots
+                    index, spec, seed, vp_name, dest, outcome, slots
                 )
                 if tainted is None:
                     continue  # precondition unmet — next spec may apply
@@ -332,14 +342,15 @@ class FaultInjector:
         return out
 
     def _taint(
-        self, spec, seed: int, vp_name: str, dest, outcome: Outcome,
-        slots: int,
+        self, index: int, spec, seed: int, vp_name: str, dest,
+        outcome: Outcome, slots: int,
     ) -> Optional[Outcome]:
-        """Apply one spec's transform; None = precondition unmet."""
+        """Apply the ``index``-th plan spec's transform; None =
+        precondition unmet."""
         if isinstance(spec, ZombieVp):
             # Zombie VPs answer *unconditionally* — even destinations
             # that never replied get the canned stale measurement.
-            return self._zombie_outcome(spec, seed, vp_name, outcome, slots)
+            return self._zombie_outcome(index, seed, vp_name, outcome, slots)
         if isinstance(spec, StampCorruption):
             if not outcome.rr_responsive or outcome.dest_slot is None:
                 return None
@@ -416,7 +427,7 @@ class FaultInjector:
         return None
 
     def _zombie_outcome(
-        self, spec: ZombieVp, seed: int, vp_name: str, outcome: Outcome,
+        self, index: int, seed: int, vp_name: str, outcome: Outcome,
         slots: int,
     ) -> Outcome:
         """The canned stale reply a zombie VP returns for everything.
@@ -424,10 +435,8 @@ class FaultInjector:
         The cached template carries the garbage RR with ``dest_slot=0``
         (so it is simultaneously a duplicate *and* a stamp mismatch);
         per-pair instances copy the original outcome's accounting.
+        ``index`` is the zombie spec's position in the plan.
         """
-        index = next(
-            i for i, s in self._misbehaviors if s is spec
-        )
         key = (index, vp_name, slots)
         canned = self._zombie_cache.get(key)
         if canned is None:

@@ -21,7 +21,7 @@ Four fault families, each a frozen (picklable) dataclass:
   campaign attempts fail outright; the retry that lands after the VP
   "returns" runs a clean, complete session.
 * :class:`LinkFlap` — an adjacent router pair blackholes traffic for a
-  window of each probe session, invalidating the forward-path cache.
+  window of each probe session.
 * :class:`LossBurst` — a Gilbert–Elliott two-state chain overlays
   *correlated* loss on the per-VP loss stream (bursty last-mile loss,
   not the i.i.d. ``loss_prob`` the base simulation models).
@@ -60,9 +60,9 @@ any worker count, and across kill/resume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple, Union
+from typing import Callable, ClassVar, Optional, Tuple, Union
 
-from repro.rng import stable_randint, stable_u64, stable_uniform
+from repro.rng import StablePrefix, stable_randint, stable_u64, stable_uniform
 
 __all__ = [
     "VpChurn",
@@ -132,10 +132,8 @@ class LinkFlap:
     topology; during ``[start, start + duration)`` (fractions of the
     session horizon) any packet whose hop-by-hop walk crosses a
     flapped adjacency — in either direction — is silently dropped.
-    The injector also invalidates the forward-path cache at session
-    start, modelling the route churn a real flap causes (and
-    exercising the cache-invalidation machinery; paths are
-    value-deterministic, so this changes speed, never results).
+    Compiled stamp plans survive the flap: their templates are keyed
+    by the flapped adjacencies each leg crosses at send time.
     """
 
     KIND: ClassVar[str] = "link_flap"
@@ -337,17 +335,45 @@ class _MisbehaviorSpec:
         self, seed: int, vp_name: str, dest: int, round_no: int = 0
     ) -> bool:
         """Does this spec perturb ``vp_name``'s probe to ``dest``?"""
+        select = self.selector(seed, vp_name, round_no)
+        return select is not None and select(dest)
+
+    def selector(
+        self, seed: int, vp_name: str, round_no: int = 0
+    ) -> Optional[Callable[[int], bool]]:
+        """``vp_name``'s per-destination hit test for one probe round.
+
+        Everything that does not depend on the destination — the
+        eligibility check and the ``"when"``/``"hit"`` hash prefixes —
+        is resolved once, so a batch pays one prefix per spec instead
+        of re-hashing it per reply. ``None`` means the spec cannot
+        touch this VP at all.
+        """
         if self.vps and vp_name not in self.vps:
-            return False
+            return None
         if self.prob <= 0.0:
-            return False
-        when = stable_uniform(seed, "when", vp_name, dest)
-        if not (self.start <= when < self.start + self.duration):
-            return False
-        if self.prob >= 1.0:
-            return True
+            return None
+        return self._window_hit(seed, vp_name, round_no, self.prob)
+
+    def _window_hit(
+        self, seed: int, vp_name: str, round_no: int, prob: float
+    ) -> Callable[[int], bool]:
+        """The window test and the ``prob`` hit draw, per destination.
+
+        The hit draw runs first when there is one: both are pure
+        functions of the destination, and at the presets' sparse
+        probabilities it rejects most replies on its own.
+        """
+        start = self.start
+        end = self.start + self.duration
+        when = StablePrefix(seed, "when", vp_name).uniform
+        if prob >= 1.0:
+            return lambda dest: start <= when(dest) < end
+        hit = StablePrefix(seed, "hit", vp_name).uniform
         salt = 0 if self.sticky else round_no
-        return stable_uniform(seed, "hit", vp_name, dest, salt) < self.prob
+        return lambda dest: (
+            hit(dest, salt) < prob and start <= when(dest) < end
+        )
 
 
 @dataclass(frozen=True)
@@ -442,20 +468,13 @@ class ZombieVp(_MisbehaviorSpec):
             return False
         return stable_uniform(seed, "zombie-vp", vp_name) < self.prob
 
-    def applies_to(
-        self, seed: int, vp_name: str, dest: int, round_no: int = 0
-    ) -> bool:
+    def selector(
+        self, seed: int, vp_name: str, round_no: int = 0
+    ) -> Optional[Callable[[int], bool]]:
+        """Zombie selection is per VP, then ``dup_frac`` per reply."""
         if not self.vp_applies(seed, vp_name):
-            return False
-        when = stable_uniform(seed, "when", vp_name, dest)
-        if not (self.start <= when < self.start + self.duration):
-            return False
-        if self.dup_frac >= 1.0:
-            return True
-        salt = 0 if self.sticky else round_no
-        return (
-            stable_uniform(seed, "hit", vp_name, dest, salt) < self.dup_frac
-        )
+            return None
+        return self._window_hit(seed, vp_name, round_no, self.dup_frac)
 
 
 FaultSpec = Union[

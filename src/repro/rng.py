@@ -15,6 +15,7 @@ import random
 from typing import Iterable, Sequence, Tuple, TypeVar
 
 __all__ = [
+    "StablePrefix",
     "stable_u64",
     "stable_uniform",
     "stable_choice",
@@ -26,18 +27,48 @@ __all__ = [
 T = TypeVar("T")
 
 
-def _digest(parts: Tuple[object, ...]) -> bytes:
-    """Hash a tuple of primitive parts into 8 stable bytes."""
-    hasher = hashlib.blake2b(digest_size=8)
+def _feed(hasher, parts: Tuple[object, ...]) -> None:
+    """Feed primitive parts to a stable hasher, in order."""
     for part in parts:
         hasher.update(repr(part).encode("utf-8"))
         hasher.update(b"\x1f")  # unit separator: ("ab","c") != ("a","bc")
+
+
+def _digest(parts: Tuple[object, ...]) -> bytes:
+    """Hash a tuple of primitive parts into 8 stable bytes."""
+    hasher = hashlib.blake2b(digest_size=8)
+    _feed(hasher, parts)
     return hasher.digest()
 
 
 def stable_u64(*parts: object) -> int:
     """A uniform 64-bit integer keyed by ``parts``."""
     return int.from_bytes(_digest(parts), "big")
+
+
+class StablePrefix:
+    """:func:`stable_u64` draws under a fixed key prefix, hashed once.
+
+    ``StablePrefix(*a).u64(*b) == stable_u64(*a, *b)`` for any parts:
+    blake2b is a streaming hash, so each draw copies the prefix's
+    hasher state and feeds only the remaining parts. Worth it in loops
+    that draw per destination under one (seed, label, VP) key.
+    """
+
+    __slots__ = ("_hasher",)
+
+    def __init__(self, *parts: object) -> None:
+        self._hasher = hashlib.blake2b(digest_size=8)
+        _feed(self._hasher, parts)
+
+    def u64(self, *parts: object) -> int:
+        hasher = self._hasher.copy()
+        _feed(hasher, parts)
+        return int.from_bytes(hasher.digest(), "big")
+
+    def uniform(self, *parts: object) -> float:
+        """``stable_uniform(*prefix, *parts)``."""
+        return self.u64(*parts) / (1 << 64)
 
 
 def stable_uniform(*parts: object) -> float:

@@ -287,8 +287,10 @@ class Network:
         #: once per flow.
         self._seg_plans: Dict[int, Tuple[Tuple[Hop, ...], SegmentPlan]] = {}
         #: Shared flow programs: (fwd segment-plan tuple, kind, slots,
-        #: ttl, flapset) -> the per-prefix symbolic walk every
+        #: ttl, forward flapset) -> the per-prefix symbolic walk every
         #: destination behind the prefix finishes its templates from.
+        #: The flapset is restricted to the adjacencies the forward
+        #: leg crosses, so unaffected flows share the placid program.
         #: Cleared with the plan cache (``_drop_plans``).
         self._programs: Dict[tuple, FlowProgram] = {}
         #: Reverse-access chains (the "access" hops of a prefix tail),
@@ -314,8 +316,8 @@ class Network:
         ).labels(self.net_id)
         self._plan_invalidations = self.registry.counter(
             "plan_invalidations_total",
-            "Stamp-plan cache invalidations (route churn, flap "
-            "windows, topology mutation).",
+            "Stamp-plan cache invalidations (route churn, topology "
+            "or policy mutation).",
             ("net",),
         ).labels(self.net_id)
         self._plan_replays = self.registry.counter(
@@ -389,17 +391,6 @@ class Network:
         self._rate_scale = scale_fn
         for limiter in self._limiters.values():
             limiter.rate_scale = scale_fn
-
-    def invalidate_forward_paths(self) -> None:
-        """Drop only the forward-path cache (link-flap route churn).
-
-        Narrower than :meth:`invalidate_routes`: trunk/tail expansions
-        and routing trees survive, so the next probe re-memoises from
-        warm lower layers. Counted with the other invalidations.
-        """
-        self._path_invalidations.inc()
-        self._fwd_paths.clear()
-        self._drop_plans()
 
     def _drop_plans(self) -> None:
         """Drop every compiled stamp plan (and its templates with it)."""
@@ -675,13 +666,14 @@ class Network:
 
         Keyed by the forward segment-plan tuple (identity-stable per
         (ingress AS, prefix) through the ``_seg_plans`` pinning) plus
-        the template key, so every destination in a prefix — across
-        all its plans — resolves the symbolic walk exactly once. The
-        reverse trunk inside resolves lazily, only for programs whose
-        flows survive to the Echo Reply. Dropped wholesale with the
-        plan cache (``_drop_plans``): programs embed policy loci and
-        pin segment tuples, so they never outlive a route or policy
-        invalidation.
+        the template key with ``flapset`` already restricted to the
+        forward leg (``build_template``), so every destination in a
+        prefix — across all its plans — resolves the symbolic walk
+        exactly once. The reverse trunk inside resolves lazily, only
+        for programs whose flows survive to the Echo Reply. Dropped
+        wholesale with the plan cache (``_drop_plans``): programs
+        embed policy loci and pin segment tuples, so they never
+        outlive a route or policy invalidation.
         """
         key = (fwd, kind, slots, ttl, flapset)
         program = self._programs.get(key)

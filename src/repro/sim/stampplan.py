@@ -57,7 +57,13 @@ Fault keying: a template is resolved per ``(kind, slots, ttl,
 flapset)`` where ``flapset`` is the injector's memoised frozenset of
 flapped adjacencies at the probe's send time — a plan compiled while a
 LinkFlap window is open can never be replayed against a placid world
-(or vice versa), because the key differs.
+(or vice versa), because the key differs. Each leg then sees only the
+flapped adjacencies it crosses (:func:`crossed_flaps`): the forward
+restriction keys the :class:`FlowProgram`, the reverse one keys the
+continuation, and a flow that crosses none reuses its placid template
+object. The symbolic walk tests no other edge, so the restriction
+cannot change an outcome; it keeps plans retained across flap
+sessions from duplicating their templates.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ __all__ = [
     "SegmentPlan",
     "Template",
     "compile_segment",
+    "crossed_flaps",
     "build_program",
     "build_template",
 ]
@@ -271,6 +278,35 @@ class SegmentPlan:
         return result
 
 
+def crossed_flaps(
+    flapset: Optional[FrozenSet], segplans
+) -> Optional[FrozenSet]:
+    """The part of ``flapset`` a leg over ``segplans`` can cross.
+
+    ``_Walker.leg`` tests only the AS adjacencies inside each segment
+    and at the boundaries between consecutive non-empty segments, so
+    restricting the flap set to those edges leaves the leg's stop
+    unchanged. ``None`` when the leg crosses no flapped adjacency.
+    """
+    if not flapset or segplans is None:
+        return None
+    crossed = []
+    prev = None
+    for sp in segplans:
+        if sp.n == 0:
+            continue
+        first = sp.asns[0]
+        if prev is not None and prev != first:
+            edge = (prev, first) if prev < first else (first, prev)
+            if edge in flapset:
+                crossed.append(edge)
+        for _index, edge in sp.edges:
+            if edge in flapset:
+                crossed.append(edge)
+        prev = sp.asns[-1]
+    return frozenset(crossed) if crossed else None
+
+
 def compile_segment(network, hops: Sequence[Hop]) -> SegmentPlan:
     """Resolve one hop segment into a :class:`SegmentPlan`.
 
@@ -381,29 +417,29 @@ class FlowProgram:
     """The prefix-shared half of a template.
 
     One symbolic round-trip walk per (forward path, options-shape,
-    TTL, flap set), shared by every destination behind the prefix —
-    and therefore by every plan whose ``fwd`` tuple matches. When the
-    forward leg stops deterministically (no route, flap, filter, TTL)
-    the fate is host-independent and ``whole`` holds one template
-    every destination shares outright. Otherwise the program keeps the
-    surviving forward state (``ops_fwd``/``ops_arrived``,
+    TTL, forward flap set), shared by every destination behind the
+    prefix — and therefore by every plan whose ``fwd`` tuple matches.
+    When the forward leg stops deterministically (no route, flap,
+    filter, TTL) the fate is host-independent and ``whole`` holds one
+    template every destination shares outright. Otherwise the program
+    keeps the surviving forward state (``ops_fwd``/``ops_arrived``,
     ``load_fwd``, ``rr_fwd``, ``decr_fwd``) plus lazily-built shared
     templates for the host-side deterministic drops, and resolves
-    reverse-leg continuations on demand, keyed by the only two facts
-    the reply's reverse traversal depends on: whether it carries an RR
-    option and how many slots that option has consumed.
+    reverse-leg continuations on demand, keyed by the only facts the
+    reply's reverse traversal depends on: whether it carries an RR
+    option, how many slots that option has consumed, and which flapped
+    adjacencies the reverse leg crosses.
     """
 
     __slots__ = (
-        "slots", "flapset",
+        "slots",
         "whole", "ops_fwd", "ops_arrived", "load_fwd", "rr_fwd",
         "decr_fwd", "silent_tpl", "optdrop_tpl", "noresp_tpl",
         "rev", "rev_resolved", "conts",
     )
 
-    def __init__(self, slots: int, flapset: Optional[FrozenSet]) -> None:
+    def __init__(self, slots: int) -> None:
         self.slots = slots
-        self.flapset = flapset
         self.whole: Optional[Template] = None
         self.ops_fwd: Tuple[list, ...] = ()
         self.ops_arrived: Tuple[list, ...] = ()
@@ -622,7 +658,7 @@ def build_program(
     (via the memoised ``SegmentPlan.partial``).
     """
     mx = network._mx
-    program = FlowProgram(slots, flapset)
+    program = FlowProgram(slots)
     if fwd is None:
         program.whole = Template(
             (), Outcome(counters=(mx.sent, mx.dropped_no_route))
@@ -649,25 +685,14 @@ def build_program(
     return program
 
 
-def _continuation(
-    network, program: FlowProgram, plan: RoundTripPlan,
-    rev_has_options: bool, n_recorded: int,
-) -> tuple:
-    """The reverse-leg continuation for one reply shape, memoised.
+def _reverse_of(network, program: FlowProgram, plan: RoundTripPlan):
+    """The program's reverse segment plans (None: no route back).
 
-    Keyed by the only reply facts the reverse traversal depends on:
-    whether the Echo Reply carries the RR option (filter loci apply)
-    and how many slots it has consumed (how many reverse stamps fit).
-    The reverse trunk resolves lazily on the first continuation — the
-    point where the legacy walk first touches it; any plan sharing the
-    program may supply the destination (reverse routing is a prefix
-    fact, not a host fact).
+    Resolved lazily, on the first reply that needs it — the point
+    where the legacy walk first touches the reverse trunk; any plan
+    sharing the program may supply the destination (reverse routing is
+    a prefix fact, not a host fact).
     """
-    key = (rev_has_options, n_recorded)
-    cont = program.conts.get(key)
-    if cont is not None:
-        return cont
-    mx = network._mx
     if not program.rev_resolved:
         trunk = network._trunk(plan.host.asn, plan.src_asn)
         if trunk is not None:
@@ -676,6 +701,27 @@ def _continuation(
                 network._segment_plan(trunk),
             )
         program.rev_resolved = True
+    return program.rev
+
+
+def _continuation(
+    network, program: FlowProgram, rev_has_options: bool,
+    n_recorded: int, rev_flaps: Optional[FrozenSet],
+) -> tuple:
+    """The reverse-leg continuation for one reply shape, memoised.
+
+    Keyed by the only reply facts the reverse traversal depends on:
+    whether the Echo Reply carries the RR option (filter loci apply),
+    how many slots it has consumed (how many reverse stamps fit), and
+    the flapped adjacencies the reverse leg crosses (``rev_flaps``,
+    already restricted by :func:`crossed_flaps`). The caller resolves
+    ``program.rev`` first (:func:`_reverse_of`).
+    """
+    key = (rev_has_options, n_recorded, rev_flaps)
+    cont = program.conts.get(key)
+    if cont is not None:
+        return cont
+    mx = network._mx
     if program.rev is None:
         cont = (_C_TPL, Template(
             program.ops_arrived,
@@ -687,7 +733,7 @@ def _continuation(
         program.conts[key] = cont
         return cont
     walker = _Walker(
-        network, program.slots, program.flapset,
+        network, program.slots, rev_flaps,
         ops=list(program.ops_arrived), load=dict(program.load_fwd),
         rr_len=n_recorded,
     )
@@ -741,8 +787,13 @@ def build_template(
     and the final Record Route bookkeeping (destination slot, same-/24
     addresses). Deterministic host drops and RR-less replies collapse
     to templates shared by every destination that behaves alike.
+
+    ``flapset`` is restricted per leg (:func:`crossed_flaps`); a flow
+    that crosses no flapped adjacency in either direction gets its
+    placid template itself.
     """
-    program = network._program_for(plan.fwd, kind, slots, ttl, flapset)
+    fwd_flaps = crossed_flaps(flapset, plan.fwd)
+    program = network._program_for(plan.fwd, kind, slots, ttl, fwd_flaps)
     if program.whole is not None:
         return program.whole
     mx = network._mx
@@ -794,8 +845,11 @@ def build_template(
     else:
         rev_has_options = False
         recorded = ()
+    rev_flaps = crossed_flaps(flapset, _reverse_of(network, program, plan))
+    if flapset and fwd_flaps is None and rev_flaps is None:
+        return plan.template(network, kind, slots, ttl, None)
     cont = _continuation(
-        network, program, plan, rev_has_options, len(recorded)
+        network, program, rev_has_options, len(recorded), rev_flaps
     )
     ckind = cont[0]
     if ckind == _C_TPL:

@@ -11,15 +11,26 @@ windows must never replay a stale template).
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.survey import run_rr_survey, save_survey
 from repro.faults import CampaignRunner, FaultInjector, FaultPlan, LinkFlap
 from repro.obs.spans import TRACER
+from repro.probing.prober import DEFAULT_PPS
 from repro.scenarios.faults import build_fault_plan
 from repro.scenarios.presets import get_preset
+from repro.sim.stampplan import SegmentPlan, crossed_flaps
 
 N_DESTS = 30
+#: Worlds the flap differential runs on; each has two working VPs
+#: behind one ingress AS with some asymmetric routes.
+FLAP_SEEDS = (2016, 3, 1)
+#: Destinations per flap session, per kind (asymmetric routes, then
+#: the hitlist head). ``tiny`` has ~450 AS adjacencies and these flows
+#: cross few of them, so only flap counts in the hundreds reliably
+#: change outcomes.
+FLAP_DESTS = 40
 
 
 def _survey_bytes(survey, tmp_path, name):
@@ -38,6 +49,73 @@ def _campaign_bytes(seed, faults, jobs, batch, tmp_path, name):
         world, plan=plan, jobs=jobs, max_retries=3
     ).run(targets=targets)
     return _survey_bytes(result.survey, tmp_path, name)
+
+
+def _flap_inputs(world):
+    """Two working VPs behind one ingress AS, plus destinations.
+
+    The destinations lead with those whose reverse AS path is not the
+    forward one reversed: only there can the reverse leg cross a
+    flapped adjacency the forward leg does not. Of the ingress ASes
+    with two VPs, the one with the most such routes is used.
+    """
+    by_asn = {}
+    for vp in world.working_vps:
+        by_asn.setdefault(vp.addr >> 16, []).append(vp)
+    routing = world.routing
+    best = None
+    for asn, vps in by_asn.items():
+        if len(vps) < 2:
+            continue
+        asymmetric = []
+        for dest in world.hitlist:
+            fwd = routing.as_path(asn, dest.asn)
+            rev = routing.as_path(dest.asn, asn)
+            if fwd and rev and list(fwd) != list(reversed(rev)):
+                asymmetric.append(dest)
+        if best is None or len(asymmetric) > len(best[1]):
+            best = (vps[:2], asymmetric)
+    vps, asymmetric = best
+    assert asymmetric, "no asymmetric route to exercise the reverse leg"
+    head = [
+        dest for dest in list(world.hitlist)[:FLAP_DESTS]
+        if dest not in asymmetric
+    ]
+    return vps, asymmetric[:FLAP_DESTS] + head
+
+
+def _flap_session(world, plan, vp, dests, stretch=1.0):
+    """One VP session under ``plan``'s flaps: the outcome fields the
+    legacy walk's results carry too (it has no ``replied``).
+
+    The horizon is the session's own length times ``stretch``, so at
+    the default every flap window opens inside the probe sequence.
+    """
+    net = world.network
+    injector = FaultInjector(
+        net, plan, horizon=stretch * len(dests) / DEFAULT_PPS
+    )
+    net.attach_injector(injector)
+    net.begin_vp_session(vp.name)
+    try:
+        rows = world.prober.probe_batch_rows(vp, dests)
+    finally:
+        net.end_vp_session()
+        net.detach_injector()
+    return [
+        (
+            dest.addr,
+            outcome.responded,
+            outcome.reply_has_rr,
+            outcome.rr,
+            outcome.dest_slot,
+            outcome.inprefix,
+            outcome.ttl_exceeded,
+            outcome.error_source,
+            outcome.quoted,
+        )
+        for dest, outcome in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -93,55 +171,92 @@ class TestInvalidation:
         assert not net._programs
         assert net._plan_invalidations.value == before + 1
 
-    def test_flap_window_never_replays_placid_template(self):
+    @settings(max_examples=12, deadline=None)
+    @given(
+        count=st.integers(min_value=1, max_value=300),
+        start=st.floats(min_value=0.0, max_value=1.0),
+        duration=st.floats(min_value=0.05, max_value=1.0),
+    )
+    @example(count=3, start=0.0, duration=1.0)
+    @example(count=300, start=0.25, duration=0.5)
+    def test_flap_window_never_replays_placid_template(
+        self, count, start, duration
+    ):
         """Plans compiled before an injector attaches must not leak
-        their placid templates into a flap window: a warm cache and a
-        cold cache see identical outcomes under the same flap plan."""
-        warm = get_preset("tiny", 7)
-        cold = get_preset("tiny", 7)
-        vp_name = warm.working_vps[0].name
+        their placid templates into a flap window, and the per-leg
+        flap restriction must be exact: two flap sessions from one
+        ingress AS on a warm world see the legacy walk's outcomes,
+        and neither drops or recompiles a plan."""
         plan = FaultPlan(
             seed=3,
-            specs=(LinkFlap(count=3, start=0.0, duration=1.0),),
+            specs=(
+                LinkFlap(count=count, start=start, duration=duration),
+            ),
         )
+        for seed in FLAP_SEEDS:
+            warm = get_preset("tiny", seed)
+            legacy = get_preset("tiny", seed)
+            legacy.prober.batching = False
+            vps, dests = _flap_inputs(warm)
 
-        # Warm world only: compile plans under placid skies.
-        warm.prober.probe_batch_rows(
-            warm.vp_by_name(vp_name), list(warm.hitlist)[:N_DESTS]
+            # Warm world only: compile plans under placid skies.
+            warm.prober.probe_batch_rows(vps[0], dests)
+            compiles = warm.network._plan_compiles
+            before = compiles.value
+            assert before
+
+            for vp in vps:
+                assert _flap_session(warm, plan, vp, dests) == \
+                    _flap_session(legacy, plan, vp, dests), (seed, vp.name)
+            assert compiles.value == before, seed
+
+    def test_crossed_flaps_covers_segment_boundaries(self):
+        def seg(*asns):
+            edges = tuple(
+                (index, (min(a, b), max(a, b)))
+                for index, (a, b) in enumerate(zip(asns, asns[1:]), 1)
+                if a != b
+            )
+            return SegmentPlan(
+                n=len(asns), asns=asns, edges=edges, decr=(),
+                filter_idx=None, rate=(), stamps=(), load_full=(),
+            )
+
+        leg = (seg(1, 1, 2), seg(), seg(3, 3))
+        flaps = frozenset({(1, 2), (2, 3), (4, 5)})
+        assert crossed_flaps(flaps, leg) == {(1, 2), (2, 3)}
+        assert crossed_flaps(frozenset({(4, 5)}), leg) is None
+        assert crossed_flaps(None, leg) is None
+        assert crossed_flaps(flaps, None) is None
+
+    def test_flap_restriction_shares_placid_templates(self):
+        """Flows that cross no flapped adjacency replay their placid
+        template object under a flap window; flows that cross one get
+        their own template."""
+        world = get_preset("tiny", 7)
+        vp = world.working_vps[0]
+        dests = list(world.hitlist)[:60]
+        plan = FaultPlan(
+            seed=3,
+            specs=(LinkFlap(count=160, start=0.0, duration=1.0),),
         )
-        assert warm.network._plans
-
-        seen = {}
-        for name, world in (("warm", warm), ("cold", cold)):
-            net = world.network
-            injector = FaultInjector(net, plan, horizon=10.0)
-            net.attach_injector(injector)
-            net.begin_vp_session(vp_name)
-            try:
-                rows = world.prober.probe_batch_rows(
-                    world.vp_by_name(vp_name),
-                    list(world.hitlist)[:N_DESTS],
-                )
-            finally:
-                net.end_vp_session()
-                net.detach_injector()
-            # The flap plan actually bit: templates were keyed by a
-            # non-empty flapset, so the placid fast-path memo cannot
-            # have answered.
-            assert injector.active_flap_edges(0.05)
-            seen[name] = [
-                (
-                    dest.addr,
-                    outcome.replied,
-                    outcome.responded,
-                    outcome.rr,
-                    outcome.dest_slot,
-                    outcome.ttl_exceeded,
-                    outcome.quoted,
-                )
-                for dest, outcome in rows
-            ]
-        assert seen["warm"] == seen["cold"]
+        world.prober.probe_batch_rows(vp, dests)
+        # Stretched so the window still covers the last probe.
+        _flap_session(world, plan, vp, dests, stretch=2.0)
+        shared = own = 0
+        for dest in dests:
+            plan_ = world.network._plans[(vp.addr >> 16, dest.addr)]
+            by_flaps = {
+                key[3]: tpl for key, tpl in plan_._templates.items()
+            }
+            placid = by_flaps.pop(None)
+            assert len(by_flaps) == 1
+            (flapped,) = by_flaps.values()
+            if flapped is placid:
+                shared += 1
+            else:
+                own += 1
+        assert shared and own, (shared, own)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.survey import run_rr_survey, save_survey
 from repro.faults.campaign import CampaignInterrupted, CampaignRunner
@@ -52,6 +53,7 @@ from repro.probing.validation import (
     empty_quality,
     merge_quality,
 )
+from repro.rng import StablePrefix, stable_u64, stable_uniform
 from repro.scenarios.faults import FAULT_PRESETS, build_fault_plan
 from repro.scenarios.presets import get_preset
 from repro.sim.stampplan import Outcome
@@ -133,6 +135,126 @@ class TestMisbehaviorSpecs:
             for dest in range(50)
         )
         assert varied, "non-sticky draws never varied across rounds"
+
+
+# -- per-batch selectors -----------------------------------------------------
+
+
+def _reference_applies_to(spec, seed, vp_name, dest, round_no=0):
+    """The per-reply selection as it was before per-batch selectors:
+    every draw hashes its full key."""
+    if isinstance(spec, ZombieVp):
+        if not spec.vp_applies(seed, vp_name):
+            return False
+        prob = spec.dup_frac
+    else:
+        if spec.vps and vp_name not in spec.vps:
+            return False
+        if spec.prob <= 0.0:
+            return False
+        prob = spec.prob
+    when = stable_uniform(seed, "when", vp_name, dest)
+    if not (spec.start <= when < spec.start + spec.duration):
+        return False
+    if prob >= 1.0:
+        return True
+    salt = 0 if spec.sticky else round_no
+    return stable_uniform(seed, "hit", vp_name, dest, salt) < prob
+
+
+_PARTS = st.one_of(
+    st.integers(),
+    st.text(max_size=12),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+    st.tuples(st.integers(), st.text(max_size=4)),
+)
+_VP_NAMES = ("mlab-lax", "mlab-nyc", "mlab-mia")
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_MISBEHAVIOR_CLASSES = (
+    StampCorruption, OptionStrip, TruncatedOption, SpoofedReply, ZombieVp,
+)
+
+
+@st.composite
+def _misbehavior_specs(draw):
+    cls = draw(st.sampled_from(_MISBEHAVIOR_CLASSES))
+    kwargs = dict(
+        vps=draw(st.lists(st.sampled_from(_VP_NAMES), unique=True)),
+        prob=draw(st.one_of(st.sampled_from((0.0, 1.0)), _UNIT)),
+        start=draw(_UNIT),
+        duration=draw(st.floats(min_value=0.01, max_value=1.0)),
+        sticky=draw(st.booleans()),
+    )
+    if cls is ZombieVp:
+        kwargs["dup_frac"] = draw(st.floats(min_value=0.01, max_value=1.0))
+    return cls(**kwargs)
+
+
+class TestPerBatchSelectors:
+    @given(st.lists(_PARTS, max_size=5), st.lists(_PARTS, max_size=5))
+    def test_prefix_hasher_equals_stable_u64(self, prefix, rest):
+        hasher = StablePrefix(*prefix)
+        assert hasher.u64(*rest) == stable_u64(*prefix, *rest)
+        assert hasher.uniform(*rest) == stable_uniform(*prefix, *rest)
+
+    @settings(max_examples=200)
+    @given(
+        spec=_misbehavior_specs(),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        vp_name=st.sampled_from(_VP_NAMES),
+        round_no=st.integers(min_value=0, max_value=5000),
+        dests=st.lists(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            min_size=1, max_size=40,
+        ),
+    )
+    @example(
+        spec=ZombieVp(vps=("mlab-lax",), start=0.3, duration=0.4,
+                      dup_frac=0.5, sticky=False),
+        seed=11, vp_name="mlab-lax", round_no=3, dests=list(range(40)),
+    )
+    def test_selector_equals_reference(
+        self, spec, seed, vp_name, round_no, dests
+    ):
+        select = spec.selector(seed, vp_name, round_no)
+        for dest in dests:
+            expected = _reference_applies_to(
+                spec, seed, vp_name, dest, round_no
+            )
+            assert (select is not None and select(dest)) == expected
+            assert spec.applies_to(seed, vp_name, dest, round_no) == \
+                expected
+
+    @pytest.mark.parametrize("cls", _MISBEHAVIOR_CLASSES)
+    @pytest.mark.parametrize("sticky", [True, False])
+    @pytest.mark.parametrize("vps", [(), ("mlab-lax",)])
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.25, 0.5)])
+    def test_every_class_selects_like_reference(
+        self, cls, sticky, vps, window
+    ):
+        """Deterministic coverage of each class × stickiness × VP
+        restriction × window shape, hits and misses both seen."""
+        kwargs = dict(
+            vps=vps, prob=0.4, start=window[0], duration=window[1],
+            sticky=sticky,
+        )
+        if cls is ZombieVp:
+            kwargs.update(prob=0.0 if vps else 1.0, dup_frac=0.4)
+        spec = cls(**kwargs)
+        outcomes = set()
+        for vp_name in _VP_NAMES:
+            for round_no in (0, 1, 1025):
+                select = spec.selector(7, vp_name, round_no)
+                for dest in range(0, 200 * 251, 251):
+                    expected = _reference_applies_to(
+                        spec, 7, vp_name, dest, round_no
+                    )
+                    got = select is not None and select(dest)
+                    assert got == expected, (vp_name, round_no, dest)
+                    outcomes.add(got)
+        assert outcomes == {True, False}
 
 
 # -- the validator (unit) --------------------------------------------------

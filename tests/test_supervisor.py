@@ -45,6 +45,7 @@ from repro.faults import (
     load_checkpoint,
     load_checkpoint_with_fallback,
 )
+from repro.faults.campaign import CheckpointWriter
 from repro.faults.supervisor import InjectedHang, run_vp_attempt
 from repro.probing.artifacts import (
     CHECKSUM_KEY,
@@ -56,6 +57,8 @@ from repro.probing.artifacts import (
 )
 from repro.probing.prober import DEFAULT_PPS
 from repro.probing.scheduler import ProbeOrder
+from repro.probing.validation import empty_quality
+from repro.scenarios.faults import FAULT_PRESETS
 from repro.scenarios.presets import get_preset
 
 N_DESTS = 15
@@ -87,6 +90,29 @@ def _survey_bytes(survey, tmp_path, name):
     path = tmp_path / name
     save_survey(survey, path)
     return path.read_bytes()
+
+
+def _reference_checkpoint(fingerprint, completed, attempts):
+    """Checkpoint bytes as the whole-payload encoder writes them."""
+    payload = {
+        "version": 1,
+        "fingerprint": fingerprint,
+        "completed": {
+            name: {
+                "rows": [list(row) for row in rows],
+                "inprefix": [
+                    [dest_index, list(addrs)]
+                    for dest_index, addrs in inprefix
+                ],
+                "quality": quality,
+            }
+            for name, (rows, inprefix, quality) in completed.items()
+        },
+        "attempts": attempts,
+    }
+    return json.dumps(
+        embed_checksum(payload), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
 
 def _watchdog_payload(world, targets, vp_list, plan):
@@ -448,6 +474,94 @@ class TestCheckpointIntegrity:
         newest = load_checkpoint(ck)
         older = load_checkpoint(previous)
         assert len(newest["completed"]) == len(older["completed"]) + 1
+
+    def test_fragment_writer_matches_whole_payload_encoder(self, tmp_path):
+        """Each write's newest file and ``.1`` generation equal the
+        whole-payload encoding, as ``completed`` grows, ``attempts``
+        change, and an entry object is replaced."""
+        ck = tmp_path / "frag.ckpt"
+        generation = checkpoint_generation_path(ck)
+        writer = CheckpointWriter(ck, "0123456789abcdef")
+        completed, attempts = {}, {}
+        previous = None
+        names = ["mlab-nyc", "zeta", "mlab-lax", 'q"uote', "vp-\u00e9", "a"]
+        for step, name in enumerate(names):
+            quality = empty_quality()
+            quality["checked"] = step * 5
+            quality["reasons"] = {"spoofed_source": step, "duplicate": 1}
+            quality["quarantined"].append(
+                {"vp": name, "dest": 167772161 + step, "round": 0,
+                 "reason": "spoofed_source", "ratio": step / 7}
+            )
+            completed[name] = (
+                [(i, None if i % 3 else i % 9 + 1) for i in range(step * 5)],
+                [(i, (10 + i, 20 + i)) for i in range(step)],
+                quality,
+            )
+            attempts[name] = step + 1
+            attempts["dark-vp"] = step  # never completes
+            writer.write(completed, attempts)
+            expected = _reference_checkpoint(
+                "0123456789abcdef", completed, attempts
+            )
+            assert ck.read_bytes() == expected, name
+            load_checkpoint(ck)
+            if previous is not None:
+                assert generation.read_bytes() == previous, name
+                load_checkpoint(generation)
+            previous = expected
+        rows, inprefix, quality = completed["zeta"]
+        completed["zeta"] = (rows[:1], inprefix, quality)
+        writer.write(completed, attempts)
+        assert ck.read_bytes() == _reference_checkpoint(
+            "0123456789abcdef", completed, attempts
+        )
+
+    def test_resumed_run_checkpoints_match_whole_payload_encoder(
+        self, world, targets, vp_list, tmp_path, monkeypatch
+    ):
+        """Every write of a killed run and of its resumption — whose
+        first write re-encodes the entries it loaded — matches the
+        whole-payload encoding, newest file and ``.1`` both."""
+        ck = tmp_path / "camp.ckpt"
+        generation = checkpoint_generation_path(ck)
+        plan = FaultPlan(
+            seed=5,
+            specs=FAULT_PRESETS["chaos"] + FAULT_PRESETS["misbehave"],
+        )
+        writes = []
+        real_write = CheckpointWriter.write
+
+        def spy(writer, completed, attempts):
+            real_write(writer, completed, attempts)
+            load_checkpoint(ck)
+            if generation.exists():
+                load_checkpoint(generation)
+            writes.append((
+                len(completed),
+                ck.read_bytes(),
+                generation.read_bytes() if generation.exists() else None,
+                _reference_checkpoint(fingerprint, completed, attempts),
+            ))
+
+        monkeypatch.setattr(CheckpointWriter, "write", spy)
+        runner = CampaignRunner(
+            world, plan=plan, checkpoint_path=ck, kill_after_vps=3
+        )
+        fingerprint = runner.fingerprint(targets, vp_list)
+        with pytest.raises(CampaignInterrupted):
+            runner.run(targets=targets, vps=vp_list)
+        killed_writes = len(writes)
+        resumed = CampaignRunner(world, plan=plan, checkpoint_path=ck).run(
+            targets=targets, vps=vp_list, resume=True
+        )
+        assert resumed.resumed_vps == 3
+        assert writes[killed_writes][0] == 4  # 3 loaded + 1 new entry
+        previous = None
+        for count, newest, older, expected in writes:
+            assert newest == expected, count
+            assert older == previous, count
+            previous = expected
 
     def test_corrupt_newest_auto_repaired(
         self, world, targets, vp_list, tmp_path
