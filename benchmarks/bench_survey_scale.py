@@ -6,9 +6,7 @@ mechanisms exist to pay it down and this script records both:
 * ``serial``        — the in-process batched dataplane (``jobs=1``);
 * ``serial_legacy`` — the same campaign with ``prober.batching`` off,
   i.e. the per-hop packet walk the stamp-plan replay engine replaces;
-* ``pool_jobs1``    — the worker pool with a single worker (measures
-  the pool's fixed overhead: fork, payload pickling, snapshot merging);
-* ``pool_jobsN``    — the pool at ``--jobs`` workers.
+* ``pool_jobsN``    — the worker pool at ``--jobs`` workers.
 
 Each configuration probes a **fresh scenario** (cold caches) so the
 comparison is fair, then the script verifies the correctness bars —
@@ -42,7 +40,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.parallel import ParallelSurveyRunner
 from repro.core.survey import (
     run_ping_survey,
     run_rr_survey,
@@ -80,7 +77,6 @@ def _time_rr(
     jobs: int,
     quick: bool,
     repeat: int,
-    force_pool: bool = False,
     batch: bool = True,
     profile_to: Optional[Path] = None,
 ) -> Dict[str, object]:
@@ -96,15 +92,7 @@ def _time_rr(
             profiler = cProfile.Profile()
             profiler.enable()
         start = time.perf_counter()
-        if force_pool and jobs == 1:
-            # The pool path refuses nothing at jobs=1; run_rr_survey
-            # would route this to the serial loop, so drive the runner
-            # directly to expose the pool's fixed overhead.
-            runner = ParallelSurveyRunner(scenario, jobs=1)
-            runner.run_rr(targets, vps)
-        else:
-            survey = run_rr_survey(scenario, dests=targets, vps=vps,
-                                   jobs=jobs)
+        survey = run_rr_survey(scenario, dests=targets, vps=vps, jobs=jobs)
         elapsed = time.perf_counter() - start
         if profiler is not None:
             profiler.disable()
@@ -227,12 +215,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       repeat=args.repeat, batch=False)
     timings["rr_serial_legacy"] = legacy["seconds"]
     print(f"  rr serial legacy : {timings['rr_serial_legacy']:.3f}s",
-          flush=True)
-
-    pool1 = _time_rr(args.preset, args.seed, jobs=1, quick=args.quick,
-                     repeat=args.repeat, force_pool=True)
-    timings["rr_pool_jobs1"] = pool1["seconds"]
-    print(f"  rr pool jobs=1   : {timings['rr_pool_jobs1']:.3f}s",
           flush=True)
 
     pooled = _time_rr(args.preset, args.seed, jobs=args.jobs,

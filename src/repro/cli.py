@@ -171,6 +171,20 @@ EXPERIMENTS: Dict[str, Callable[[StudyData], str]] = {
 }
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a positive worker count (anything else is a usage
+    error, exit 2)."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer: {text!r}"
+        )
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -198,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the report to this file",
     )
     study.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_jobs, default=1,
         help="survey fan-out: worker processes (1 = serial; "
              "results are identical for any value)",
     )
@@ -245,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=None,
         help="fault plan seed (default: derived from the scenario seed)",
     )
-    chaos.add_argument("--jobs", type=int, default=1)
+    chaos.add_argument("--jobs", type=_jobs, default=1)
     chaos.add_argument(
         "--no-batch", action="store_true",
         help="force the legacy per-hop walk (byte-identical results)",
@@ -370,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--vps", type=int, default=None,
         help="probe from only the first N vantage points",
     )
-    trace.add_argument("--jobs", type=int, default=1)
+    trace.add_argument("--jobs", type=_jobs, default=1)
     trace.add_argument(
         "--sample", type=int, default=0, metavar="N",
         help="attach every Nth probe as a span event (0 = off)",
@@ -434,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the rendered metrics to this file",
     )
     stats.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_jobs, default=1,
         help="survey fan-out: worker processes (1 = serial)",
     )
     stats.add_argument(
@@ -483,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", default="tiny", choices=sorted(PRESETS)
     )
     serve.add_argument("--seed", type=int, default=2016)
-    serve.add_argument("--jobs", type=int, default=1)
+    serve.add_argument("--jobs", type=_jobs, default=1)
     serve.add_argument(
         "--no-batch", action="store_true",
         help="force the legacy per-hop walk (byte-identical results)",

@@ -63,7 +63,7 @@ def run_full_study(
     """Run both §3.1 studies against a scenario.
 
     ``jobs`` is forwarded to the survey engine: ``jobs >= 2`` fans the
-    campaigns out across a per-VP process pool (see
+    campaigns out across the executor's worker pool (see
     :mod:`repro.core.parallel`); the RR survey's persisted JSON is
     byte-identical for any value. ``batch=False`` forces the legacy
     per-hop walk (the batched dataplane is byte-identical, so this is

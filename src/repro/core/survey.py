@@ -36,6 +36,7 @@ from typing import (
     Union,
 )
 
+from repro.core.parallel import SurveyWorkerError, WorkerWatchdog
 from repro.net.addr import parse_prefix, same_slash24
 from repro.probing.artifacts import (
     atomic_write_bytes,
@@ -46,7 +47,11 @@ from repro.probing.artifacts import (
 from repro.obs.spans import TRACER
 from repro.obs.timing import timed
 from repro.probing.prober import DEFAULT_PPS
-from repro.probing.scheduler import ProbeOrder, order_destinations
+from repro.probing.scheduler import (
+    ProbeOrder,
+    order_destinations,
+    split_round_robin,
+)
 from repro.probing.vantage import Platform, VantagePoint
 from repro.scenarios.internet import Scenario
 from repro.topology.hitlist import Destination
@@ -80,9 +85,9 @@ class SurveyFormatError(ValueError):
     def __str__(self) -> str:
         return f"{self.path}: {self.reason}"
 
-#: Fixed shard count for the parallel ping survey. Destinations are
-#: dealt round-robin into this many shards regardless of ``jobs``, so
-#: any ``jobs >= 2`` run produces identical results (each shard is one
+#: Fixed shard count for the ping survey. Destinations are dealt
+#: round-robin into this many shards regardless of ``jobs``, so every
+#: ``jobs`` value produces identical results (each shard is one
 #: deterministic loss-stream session; see DESIGN.md).
 PING_SHARDS = 8
 
@@ -412,12 +417,12 @@ def probe_vp_rr(
 ) -> VPRows:
     """One vantage point's complete ping-RR probe sequence.
 
-    This is the unit of work the parallel engine shards: the VP's full
+    This is the unit of work the executor shards: the VP's full
     destination walk runs inside its own deterministic probe session
     (fresh token buckets, a per-VP loss stream seeded from
     ``(seed, vp.name)``), so the result rows are byte-identical whether
-    this executes in the serial loop or in a worker process — the
-    engine's determinism contract (see DESIGN.md).
+    this executes in-process or in a worker process — the engine's
+    determinism contract (see DESIGN.md).
 
     ``heartbeat``, if given, is invoked once per destination *before*
     the probe is issued — the supervision layer's per-task progress
@@ -598,6 +603,60 @@ def probe_ping_shard(
     return out
 
 
+def _rr_body(state: dict, task: tuple, heartbeat) -> VPRows:
+    """Executor task body: one VP's ping-RR sequence.
+
+    ``task`` is ``(vp_index, vp_name)``. ``probe_vp_rr`` is looked up
+    at call time, so a patched module attribute reaches every worker.
+    """
+    return probe_vp_rr(
+        state["scenario"],
+        state["vps"][task[0]],
+        state["targets"],
+        state["position"],
+        order=state["order"],
+        slots=state["slots"],
+        pps=state["pps"],
+        heartbeat=heartbeat,
+        validate=state["validate"],
+    )
+
+
+def _ping_body(state: dict, task: tuple, heartbeat) -> List[Tuple[int, bool]]:
+    """Executor task body: one destination shard of the ping study
+    (``task`` is ``(shard_index, label)``)."""
+    return probe_ping_shard(
+        state["scenario"],
+        task[0],
+        state["shards"][task[0]],
+        count=state["count"],
+        pps=state["pps"],
+    )
+
+
+def _run_survey_tasks(
+    scenario: Scenario, jobs: int, payload: dict, tasks: List[tuple],
+    kind: str,
+) -> list:
+    """Results of survey ``tasks`` on the executor, in key order.
+
+    A failed task raises :class:`SurveyWorkerError` for the first
+    failed key, chained from the original exception when the body ran
+    in-process.
+    """
+    with WorkerWatchdog(scenario, payload, jobs) as executor:
+        outcomes = executor.run_tasks(tasks)
+    results = []
+    for key, label in tasks:
+        result, status, error = outcomes[key]
+        if status != "ok":
+            raise SurveyWorkerError(
+                kind, key, label, error
+            ) from executor.exceptions.get(key)
+        results.append(result)
+    return results
+
+
 def run_ping_survey(
     scenario: Scenario,
     dests: Optional[Sequence[Destination]] = None,
@@ -607,34 +666,34 @@ def run_ping_survey(
 ) -> PingSurvey:
     """The origin-host plain-ping study (§3.1's second study).
 
-    ``jobs >= 2`` fans :data:`PING_SHARDS` destination shards out
-    across a process pool; any parallel degree produces identical
-    results (per-shard loss sessions). ``jobs=1`` is the serial path.
+    Destinations are dealt round-robin into :data:`PING_SHARDS` fixed
+    shards, one executor task each, so every ``jobs`` value runs the
+    same per-shard loss sessions and produces identical results.
     """
     if scenario.origin is None:
         raise ValueError("scenario has no origin vantage point")
     targets = list(scenario.hitlist) if dests is None else list(dests)
     survey = PingSurvey(origin_name=scenario.origin.name)
+    shards = (
+        split_round_robin(targets, min(PING_SHARDS, len(targets)))
+        if targets
+        else []
+    )
+    payload = {
+        "task_body": _ping_body, "shards": shards, "count": count,
+        "pps": pps,
+    }
+    tasks = [(index, f"shard-{index}") for index in range(len(shards))]
     with TRACER.span(
         "ping_survey", clock=scenario.network.clock,
         targets=len(targets), jobs=jobs or 1,
     ):
-        if jobs is not None and jobs >= 2 and len(targets) > 1:
-            from repro.core.parallel import ParallelSurveyRunner
-
-            runner = ParallelSurveyRunner(scenario, jobs=jobs)
-            with timed("ping_survey"):
-                for addr, responded in runner.run_ping(
-                    targets, count=count, pps=pps
-                ):
-                    survey.responsive[addr] = responded
-            return survey
         with timed("ping_survey"):
-            results = scenario.prober.probe_batch_ping(
-                scenario.origin, targets, count=count, pps=pps
-            )
-            for dest, result in zip(targets, results):
-                survey.responsive[dest.addr] = result.responded
+            for rows in _run_survey_tasks(
+                scenario, jobs, payload, tasks, "ping"
+            ):
+                for addr, responded in rows:
+                    survey.responsive[addr] = responded
     return survey
 
 
@@ -654,13 +713,13 @@ def run_rr_survey(
     answer, as in the real study) probes every destination once, in
     its own random order, at ``pps``.
 
-    ``jobs`` controls per-VP process fan-out: ``jobs=1`` (default)
-    runs the serial path in-process; ``jobs >= 2`` shards one VP's
-    full probe sequence per worker task and merges the compact result
-    rows plus each worker's metrics-registry snapshot back into the
-    parent. Both paths run each VP inside the same deterministic probe
-    session, so the resulting :func:`save_survey` JSON is
-    **byte-identical** for any ``jobs`` value on the same seed.
+    Each VP's full probe sequence is one executor task: ``jobs=1``
+    (default) runs them in-process; ``jobs >= 2`` runs them on a
+    worker pool and merges the compact result rows plus each worker's
+    metrics-registry snapshot back into the parent. Both run each VP
+    inside the same deterministic probe session, so the resulting
+    :func:`save_survey` JSON is **byte-identical** for any ``jobs``
+    value on the same seed.
 
     ``validate=False`` skips the reply-validation pass entirely — the
     benchmark baseline for the validation-overhead gate. On a clean
@@ -675,30 +734,23 @@ def run_rr_survey(
         inprefix_addrs=[set() for _ in targets],
         rr_slots=slots,
     )
-    position = {dest.addr: index for index, dest in enumerate(targets)}
+    payload = {
+        "task_body": _rr_body,
+        "targets": targets,
+        "position": {dest.addr: index for index, dest in enumerate(targets)},
+        "vps": vp_list,
+        "order": order,
+        "slots": slots,
+        "pps": pps,
+        "validate": validate,
+    }
+    tasks = [(index, vp.name) for index, vp in enumerate(vp_list)]
     with TRACER.span(
         "rr_survey", clock=scenario.network.clock,
         vps=len(vp_list), targets=len(targets), jobs=jobs or 1,
     ):
-        if jobs is not None and jobs >= 2 and len(vp_list) > 1:
-            from repro.core.parallel import ParallelSurveyRunner
-
-            runner = ParallelSurveyRunner(scenario, jobs=jobs)
-            with timed("rr_survey"):
-                per_vp = runner.run_rr(
-                    targets, vp_list, pps=pps, order=order, slots=slots,
-                    validate=validate,
-                )
-        else:
-            with timed("rr_survey"):
-                per_vp = [
-                    probe_vp_rr(
-                        scenario, vp, targets, position,
-                        order=order, slots=slots, pps=pps,
-                        validate=validate,
-                    )
-                    for vp in vp_list
-                ]
+        with timed("rr_survey"):
+            per_vp = _run_survey_tasks(scenario, jobs, payload, tasks, "rr")
         # Merge in VP order so per-destination dict insertion order (and
         # therefore the persisted JSON) is independent of completion
         # order.

@@ -19,6 +19,7 @@ counts extends to chaos runs, kill points, resumes, and supervised
 recoveries.
 """
 
+from repro.core.parallel import WorkerWatchdog
 from repro.faults.campaign import (
     CampaignInterrupted,
     CampaignResult,
@@ -43,7 +44,6 @@ from repro.faults.supervisor import (
     CircuitBreaker,
     SupervisionConfig,
     VpHealthTracker,
-    WorkerWatchdog,
 )
 
 __all__ = [

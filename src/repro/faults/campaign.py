@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.parallel import _compact_snapshot, run_pooled_tasks
+from repro.core.parallel import WorkerWatchdog
 from repro.core.survey import (
     RRSurvey,
     SurveyFormatError,
@@ -53,8 +53,7 @@ from repro.faults.specs import FaultPlan, VpChurn
 from repro.faults.supervisor import (
     SupervisionConfig,
     VpHealthTracker,
-    WorkerWatchdog,
-    run_vp_attempt,
+    vp_attempt_body,
 )
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.spans import TRACER
@@ -219,63 +218,6 @@ class CampaignResult:
                 "quarantine_sidecar": self.quarantine_sidecar,
             },
         }
-
-
-# ---------------------------------------------------------------------------
-# Worker task (module-level so it pickles by reference).
-# ---------------------------------------------------------------------------
-
-
-def _campaign_rr_task(task: Tuple[int, int]) -> tuple:
-    """One VP's faulted probe attempt; failures return, never raise.
-
-    ``task`` is ``(vp_index, attempt)`` — the attempt number lets the
-    fault plan arm attempt-scoped pathologies (``VpHang``/``VpCrash``)
-    deterministically. In this *unsupervised* pool there is no
-    watchdog to recover a wedged worker, so injected hangs degrade to
-    immediate failures (``allow_hang=False``).
-
-    Returns ``(vp_index, rows_or_None, snapshot, options_load, error,
-    spans)`` — a failed VP must not poison the whole pool ``map``, so
-    the exception is stringified and shipped home for the retry loop.
-    """
-    from repro.core.parallel import _WORKER
-
-    vp_index, attempt = task
-    state = _WORKER
-    assert state is not None, "worker initialized without state"
-    scenario: Scenario = state["scenario"]
-    REGISTRY.reset()
-    TRACER.reset()
-    scenario.network.options_load.clear()
-    vp: VantagePoint = state["vps"][vp_index]
-    plan: FaultPlan = state["plan"]
-    error: Optional[str] = None
-    rows: Optional[VPRows] = None
-    try:
-        rows = run_vp_attempt(
-            scenario,
-            vp,
-            attempt,
-            plan,
-            state["targets"],
-            state["position"],
-            state["order"],
-            state["slots"],
-            state["pps"],
-            state["horizon"],
-            allow_hang=False,
-        )
-    except Exception as exc:  # noqa: BLE001 — shipped to the retry loop
-        error = f"{type(exc).__name__}: {exc}"
-    return (
-        vp_index,
-        rows,
-        _compact_snapshot(REGISTRY.snapshot()),
-        dict(scenario.network.options_load),
-        error,
-        TRACER.snapshot(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +396,10 @@ def load_checkpoint_with_fallback(
 class CampaignRunner:
     """Drives a fault-tolerant, resumable all-VPs RR campaign.
 
-    Wraps the same per-VP unit of work as
-    :class:`~repro.core.parallel.ParallelSurveyRunner` (and reuses its
-    fork-inheritance plumbing), adding the retry/backoff/budget/
-    checkpoint machinery described in the module docstring.
+    Runs the same per-VP unit of work as the RR survey on one
+    executor (:class:`~repro.core.parallel.WorkerWatchdog`) for the
+    whole run, adding the retry/backoff/budget/checkpoint machinery
+    described in the module docstring.
 
     Determinism: because each VP session is self-contained and every
     fault decision keys off ``(plan seed, vp name, session time)``,
@@ -678,33 +620,30 @@ class CampaignRunner:
         completed_this_run = 0
         killed: Optional[CampaignInterrupted] = None
 
-        # Supervision (opt-in): a health tracker making quarantine and
-        # breaker decisions in the parent, plus a persistent watchdog
-        # pool replacing the plain Pool for round execution.
+        # One executor for every round; supervision (opt-in) is its
+        # config plus a health tracker making quarantine and breaker
+        # decisions in the parent.
         tracker: Optional[VpHealthTracker] = None
-        watchdog: Optional[WorkerWatchdog] = None
         if self.supervision is not None:
             tracker = VpHealthTracker(
                 self.supervision, scenario.network.net_id
             )
-            watchdog = WorkerWatchdog(
-                scenario,
-                {
-                    "params": scenario.params,
-                    "targets": target_list,
-                    "position": position,
-                    "vps": vp_list,
-                    "order": self.order,
-                    "slots": self.slots,
-                    "pps": self.pps,
-                    "plan": self.plan,
-                    "horizon": horizon,
-                    "spans": TRACER.enabled,
-                    "batch": scenario.prober.batching,
-                },
-                self.jobs,
-                self.supervision,
-            )
+        executor = WorkerWatchdog(
+            scenario,
+            {
+                "task_body": vp_attempt_body,
+                "targets": target_list,
+                "position": position,
+                "vps": vp_list,
+                "order": self.order,
+                "slots": self.slots,
+                "pps": self.pps,
+                "plan": self.plan,
+                "horizon": horizon,
+            },
+            self.jobs,
+            self.supervision,
+        )
 
         # Live status: atomically published snapshots any observer
         # (``repro top``) can poll mid-run. Reads only parent-side
@@ -751,8 +690,8 @@ class CampaignRunner:
                 }
             status.update(state, force=force, **fields)
 
-        if watchdog is not None:
-            watchdog.on_poll = lambda wd: publish(
+        if self.supervision is not None:
+            executor.on_poll = lambda wd: publish(
                 "running", heartbeat_ages=wd.heartbeat_ages()
             )
 
@@ -835,17 +774,13 @@ class CampaignRunner:
                 tasks = [
                     (
                         index,
+                        vp_list[index].name,
                         attempts.get(vp_list[index].name, 0) + 1,
                     )
                     for index in runnable
                 ]
                 try:
-                    if watchdog is not None:
-                        outcomes = watchdog.run_tasks(tasks)
-                    else:
-                        outcomes = self._run_round(
-                            tasks, target_list, position, vp_list, horizon
-                        )
+                    outcomes = executor.run_tasks(tasks)
                     still_pending: List[int] = []
                     for index in pending:
                         name = vp_list[index].name
@@ -902,17 +837,15 @@ class CampaignRunner:
                                 reason = tracker.record(name, kind)
                             if reason is None:
                                 still_pending.append(index)
-                            elif watchdog is not None:
-                                # Quarantined: embed the poisoned VP's
-                                # flight-recorder tail as the
-                                # post-mortem. The reason dict is the
-                                # object the tracker stores, so the
+                            else:
+                                # Quarantined: drops out of pending. Embed
+                                # the poisoned VP's flight-recorder tail
+                                # as the post-mortem. The reason dict is
+                                # the object the tracker stores, so the
                                 # manifest sees the journal too.
                                 reason["last_journal"] = (
-                                    watchdog.journal_tail(index, 32)
+                                    executor.journal_tail(index, 32)
                                 )
-                            # else: quarantined — drops out of pending;
-                            # the reason is recorded in the tracker.
                     if killed is not None:
                         raise killed
                 finally:
@@ -926,8 +859,7 @@ class CampaignRunner:
                 pending = still_pending
                 round_index += 1
         finally:
-            if watchdog is not None:
-                watchdog.close()
+            executor.close()
             TRACER.end(
                 campaign_span,
                 status="interrupted" if killed is not None else None,
@@ -986,18 +918,12 @@ class CampaignRunner:
             breaker_states=(
                 {} if tracker is None else tracker.breaker_states()
             ),
-            hangs_detected=(
-                0 if watchdog is None else watchdog.hangs_detected
-            ),
-            workers_respawned=(
-                0 if watchdog is None else watchdog.workers_respawned
-            ),
+            hangs_detected=executor.hangs_detected,
+            workers_respawned=executor.workers_respawned,
             checkpoint_repairs=checkpoint_repairs,
             quality=quality_total,
             quarantine_sidecar=sidecar,
-            journals=(
-                {} if watchdog is None else watchdog.journals_by_name()
-            ),
+            journals=executor.journals_by_name(),
         )
 
     def _write_quarantine_sidecar(
@@ -1029,98 +955,3 @@ class CampaignRunner:
         }
         atomic_write_bytes(path, canonical_json_bytes(embed_checksum(record)))
         return str(path)
-
-    # -- round execution ---------------------------------------------------
-
-    def _run_round(
-        self,
-        tasks: List[Tuple[int, int]],
-        targets: List[Destination],
-        position: Dict[int, int],
-        vp_list: List[VantagePoint],
-        horizon: float,
-    ) -> Dict[int, Tuple[Optional[VPRows], str, Optional[str]]]:
-        """Probe ``(vp_index, attempt)`` tasks once; never raises per-VP.
-
-        Returns ``{vp_index: (rows_or_None, kind, error_or_None)}``
-        with ``kind`` in ``{"ok", "failed"}`` — the unsupervised paths
-        cannot observe hangs or worker deaths as such (injected hangs
-        degrade to failures via ``allow_hang=False``).
-        """
-        outcomes: Dict[
-            int, Tuple[Optional[VPRows], str, Optional[str]]
-        ] = {}
-        if not tasks:
-            return outcomes
-        if self.jobs >= 2 and len(tasks) > 1:
-            return self._run_round_pool(
-                tasks, targets, position, vp_list, horizon
-            )
-        # Serial path: the shared task body runs against the live
-        # network; the parent registry counts events directly.
-        for vp_index, attempt in tasks:
-            try:
-                rows = run_vp_attempt(
-                    self.scenario,
-                    vp_list[vp_index],
-                    attempt,
-                    self.plan,
-                    targets,
-                    position,
-                    self.order,
-                    self.slots,
-                    self.pps,
-                    horizon,
-                    allow_hang=False,
-                )
-                outcomes[vp_index] = (rows, "ok", None)
-            except Exception as exc:  # noqa: BLE001 — retried
-                outcomes[vp_index] = (
-                    None,
-                    "failed",
-                    f"{type(exc).__name__}: {exc}",
-                )
-        return outcomes
-
-    def _run_round_pool(
-        self,
-        tasks: List[Tuple[int, int]],
-        targets: List[Destination],
-        position: Dict[int, int],
-        vp_list: List[VantagePoint],
-        horizon: float,
-    ) -> Dict[int, Tuple[Optional[VPRows], str, Optional[str]]]:
-        payload = {
-            "params": self.scenario.params,
-            "targets": targets,
-            "position": position,
-            "vps": vp_list,
-            "order": self.order,
-            "slots": self.slots,
-            "pps": self.pps,
-            "plan": self.plan,
-            "horizon": horizon,
-            "spans": TRACER.enabled,
-            "batch": self.scenario.prober.batching,
-        }
-        # Telemetry is merged in VP order inside run_pooled_tasks, so
-        # parent totals are independent of completion order (same rule
-        # as ParallelSurveyRunner).
-        results = run_pooled_tasks(
-            self.scenario,
-            payload,
-            _campaign_rr_task,
-            tasks,
-            self.jobs,
-            unpack=lambda item: (item[2], item[3], item[5]),
-        )
-        outcomes: Dict[
-            int, Tuple[Optional[VPRows], str, Optional[str]]
-        ] = {}
-        for vp_index, rows, _snapshot, _load, error, _spans in results:
-            outcomes[vp_index] = (
-                rows,
-                "ok" if error is None else "failed",
-                error,
-            )
-        return outcomes

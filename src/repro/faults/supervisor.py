@@ -1,21 +1,21 @@
-"""Supervised execution for the parallel survey engine.
+"""Supervision policy for the executor.
 
 The campaign runner (PR 3) retries *failures* — tasks that die with an
 exception. Real measurement platforms face two nastier pathologies
 ("A Day in the Life of RIPE Atlas"): workers that *wedge* — still
 alive, never progressing — and vantage points that fail the same way
-every time, burning the retry budget round after round. This module
-adds the missing supervision:
+every time, burning the retry budget round after round. Supervision is
+a :class:`SupervisionConfig` handed to the one executor,
+:class:`~repro.core.parallel.WorkerWatchdog`, plus the parent-side
+policy in this module:
 
 * **Heartbeats** — :func:`~repro.core.survey.probe_vp_rr` pings a
   per-worker shared double (``multiprocessing.Value('d')``, the
   monotonic clock) once per destination. Heartbeats are writes to an
   8-byte aligned slot; the hot loop pays one attribute store per
   destination, nothing more.
-* **:class:`WorkerWatchdog`** — a persistent pool of worker processes,
-  one duplex pipe each. The parent multiplexes results with
-  ``multiprocessing.connection.wait`` and, on every poll, scans
-  heartbeat ages: a busy worker silent for longer than
+* **The supervised pool** — given a config, the executor scans
+  heartbeat ages on every poll: a busy worker silent for longer than
   ``hang_timeout`` is killed and respawned, its task re-queued up to a
   per-task try budget. A worker that dies outright (its pipe hits EOF
   mid-task) is treated the same way. Either way the doomed attempt
@@ -37,12 +37,14 @@ Fault injection hooks: :class:`~repro.faults.specs.VpHang` and
 :class:`~repro.faults.specs.VpCrash` specs are realised here —
 :func:`run_vp_attempt` wraps the heartbeat callback so the task
 wedges (stops heartbeating, then sleeps) or raises after the
-configured number of destinations. Unsupervised contexts set
-``allow_hang=False`` and receive an immediate :class:`InjectedHang`
-failure instead of an actual stall.
+configured number of destinations, and :func:`vp_attempt_body` (the
+campaign's executor task body) turns an injected crash into a real
+process death under supervision. Unsupervised contexts set
+``allow_hang=False`` and receive an immediate :class:`InjectedHang` or
+:class:`InjectedCrash` failure instead of an actual stall or death.
 
-Everything observable lands in the metrics registry
-(``supervisor_*`` families below) and surfaces in
+Everything observable lands in the metrics registry (``supervisor_*``
+families below and in :mod:`repro.core.parallel`) and surfaces in
 ``repro stats --health``.
 """
 
@@ -52,24 +54,12 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _mp_wait
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from repro.core.parallel import _init_worker, parent_scenario
 from repro.core.survey import VPRows, probe_vp_rr
 from repro.faults.injector import FaultInjector
 from repro.faults.specs import FaultPlan, VpCrash, VpHang
-from repro.obs.journal import (
-    DEFAULT_JOURNAL_CAPACITY,
-    JOURNAL_PROGRESS_EVERY,
-    FlightRecorder,
-)
-from repro.obs.metrics import (
-    CounterFamily,
-    HistogramFamily,
-    MetricsRegistry,
-    REGISTRY,
-)
+from repro.obs.metrics import CounterFamily, MetricsRegistry, REGISTRY
 from repro.obs.spans import TRACER
 
 __all__ = [
@@ -77,49 +67,19 @@ __all__ = [
     "CircuitBreaker",
     "VpHealth",
     "VpHealthTracker",
-    "WorkerWatchdog",
     "InjectedHang",
     "InjectedCrash",
     "run_vp_attempt",
-    "supervisor_hang_counter",
-    "supervisor_crash_counter",
-    "supervisor_respawn_counter",
+    "vp_attempt_body",
     "supervisor_quarantine_counter",
     "breaker_transition_counter",
     "breaker_skip_counter",
-    "heartbeat_age_histogram",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Metric families (idempotently registered, shared with the CLI).
 # ---------------------------------------------------------------------------
-
-
-def supervisor_hang_counter(registry: MetricsRegistry) -> CounterFamily:
-    """``supervisor_hangs_total{net}`` — hung tasks the watchdog killed."""
-    return registry.counter(
-        "supervisor_hangs_total",
-        "Worker tasks killed for missing their heartbeat deadline.",
-        ("net",),
-    )
-
-
-def supervisor_crash_counter(registry: MetricsRegistry) -> CounterFamily:
-    """``supervisor_worker_crashes_total{net}`` — workers that died."""
-    return registry.counter(
-        "supervisor_worker_crashes_total",
-        "Worker processes that died mid-task (pipe EOF).",
-        ("net",),
-    )
-
-
-def supervisor_respawn_counter(registry: MetricsRegistry) -> CounterFamily:
-    return registry.counter(
-        "supervisor_respawns_total",
-        "Worker processes respawned by the watchdog.",
-        ("net",),
-    )
 
 
 def supervisor_quarantine_counter(
@@ -145,17 +105,6 @@ def breaker_skip_counter(registry: MetricsRegistry) -> CounterFamily:
         "supervisor_breaker_skips_total",
         "Attempts skipped because a VP's circuit breaker was open.",
         ("net",),
-    )
-
-
-def heartbeat_age_histogram(registry: MetricsRegistry) -> HistogramFamily:
-    """``supervisor_heartbeat_age_seconds{net}`` — observed at each
-    watchdog poll for every busy worker."""
-    return registry.histogram(
-        "supervisor_heartbeat_age_seconds",
-        "Age of busy workers' most recent heartbeat at watchdog polls.",
-        ("net",),
-        buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 15.0, 60.0),
     )
 
 
@@ -298,11 +247,10 @@ def run_vp_attempt(
 ) -> VPRows:
     """One VP campaign attempt with faults (incl. hang/crash) injected.
 
-    The single task body shared by the serial campaign loop, the
-    unsupervised pool task, and the supervised worker: attaches the
-    fault injector for the session, arms VpHang/VpCrash specs that
-    apply to ``(vp, attempt)``, and runs the full probe sequence.
-    Callers own metrics isolation (registry reset/snapshot).
+    What the campaign's task body (:func:`vp_attempt_body`) runs:
+    attaches the fault injector for the session, arms VpHang/VpCrash
+    specs that apply to ``(vp, attempt)``, and runs the full probe
+    sequence. The executor owns metrics isolation.
 
     ``allow_hang=False`` converts an armed hang into an immediate
     :class:`InjectedHang` — the honest stand-in for "stuck forever" in
@@ -341,6 +289,47 @@ def run_vp_attempt(
         finally:
             if injector is not None:
                 network.detach_injector()
+
+
+#: Exit status a worker uses for an injected crash (distinguishable
+#: from Python tracebacks' status 1 in logs; the parent treats any
+#: death the same).
+_CRASH_EXIT_STATUS = 13
+
+
+def vp_attempt_body(state: dict, task: tuple, heartbeat) -> VPRows:
+    """The campaign's executor task body: one faulted VP attempt.
+
+    ``task`` is ``(vp_index, vp_name, attempt)`` — the attempt number
+    lets the fault plan arm attempt-scoped pathologies
+    (``VpHang``/``VpCrash``) deterministically. Only a supervised
+    worker passes a heartbeat; there an injected hang wedges for real
+    and an injected crash kills the process, because a crashing worker
+    does not get to report its own death: the pipe EOF *is* the
+    report, exactly as for a real segfault. With no watchdog to
+    recover the worker, both are ordinary failures.
+    """
+    vp_index, _name, attempt = task
+    supervised = heartbeat is not None
+    try:
+        return run_vp_attempt(
+            state["scenario"],
+            state["vps"][vp_index],
+            attempt,
+            state["plan"],
+            state["targets"],
+            state["position"],
+            state["order"],
+            state["slots"],
+            state["pps"],
+            state["horizon"],
+            heartbeat=heartbeat,
+            allow_hang=supervised,
+        )
+    except InjectedCrash:
+        if not supervised:
+            raise
+        os._exit(_CRASH_EXIT_STATUS)
 
 
 # ---------------------------------------------------------------------------
@@ -567,517 +556,3 @@ class VpHealthTracker:
             for name, record in sorted(self._records.items())
             if record.breaker.state != CircuitBreaker.CLOSED
         }
-
-
-# ---------------------------------------------------------------------------
-# The supervised worker pool.
-# ---------------------------------------------------------------------------
-
-#: Exit status a worker uses for an injected crash (distinguishable
-#: from Python tracebacks' status 1 in logs; the parent treats any
-#: death the same).
-_CRASH_EXIT_STATUS = 13
-
-
-def _supervised_worker_main(payload, conn, heartbeat_value) -> None:
-    """Long-lived worker loop: recv task, probe, send result.
-
-    The heartbeat slot is bumped when a task is picked up, once per
-    destination during the probe (via :func:`run_vp_attempt`'s
-    heartbeat hook), and once more just before the (potentially
-    large) result send — so a worker blocked handing bytes to a busy
-    parent is never mistaken for a hung one.
-
-    Flight recording: every task start, first destination, every
-    :data:`~repro.obs.journal.JOURNAL_PROGRESS_EVERY`-th destination,
-    and every task end is journalled into a :class:`FlightRecorder`
-    and flushed *incrementally* over this same pipe as a tagged
-    ``("journal", vp_index, attempt, events)`` message — so when the
-    watchdog kills this process, the parent already holds its final
-    recorded moments for the quarantine manifest.
-    """
-    from repro.core import parallel as _parallel
-
-    _init_worker(payload)
-    state = _parallel._WORKER
-    assert state is not None
-    scenario = state["scenario"]
-    # The campaign payload carries a fault plan and a VP table; generic
-    # payloads (the multi-tenant service) instead carry ``task_body``,
-    # a module-level callable ``(state, task, heartbeat) -> rows`` that
-    # interprets its own task tuples ``(key, label, ...)``.
-    plan: Optional[FaultPlan] = state.get("plan")
-    body = state.get("task_body")
-    recorder = FlightRecorder()
-    flushed_seq = 0
-
-    def beat() -> None:
-        heartbeat_value.value = time.monotonic()
-
-    def flush_journal(vp_index: int, attempt: int) -> None:
-        nonlocal flushed_seq
-        delta = recorder.since(flushed_seq)
-        if not delta:
-            return
-        try:
-            conn.send(("journal", vp_index, attempt, delta))
-        except (OSError, BrokenPipeError):  # pragma: no cover
-            return  # parent gone; the recv below will notice
-        flushed_seq = recorder.last_seq
-
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):  # parent went away
-            return
-        if message is None:  # orderly shutdown
-            conn.close()
-            return
-        if body is None:
-            vp_index, attempt = message
-            vp = state["vps"][vp_index]
-            label = vp.name
-            targets_total: Optional[int] = len(state["targets"])
-        else:
-            vp_index = message[0]
-            attempt = 1
-            label = str(message[1])
-            targets_total = None
-        beat()
-        REGISTRY.reset()
-        TRACER.reset()
-        scenario.network.options_load.clear()
-        recorder.record(
-            "task_start",
-            vp=label,
-            vp_index=vp_index,
-            attempt=attempt,
-            targets=targets_total,
-        )
-        flush_journal(vp_index, attempt)
-        destinations = 0
-
-        def task_beat() -> None:
-            nonlocal destinations
-            beat()
-            destinations += 1
-            if destinations == 1:
-                recorder.record(
-                    "first_destination", vp=label, attempt=attempt
-                )
-                flush_journal(vp_index, attempt)
-            elif destinations % JOURNAL_PROGRESS_EVERY == 0:
-                recorder.record(
-                    "progress",
-                    vp=label,
-                    attempt=attempt,
-                    destinations=destinations,
-                )
-                flush_journal(vp_index, attempt)
-
-        error: Optional[str] = None
-        rows = None
-        try:
-            if body is None:
-                rows = run_vp_attempt(
-                    scenario,
-                    vp,
-                    attempt,
-                    plan,
-                    state["targets"],
-                    state["position"],
-                    state["order"],
-                    state["slots"],
-                    state["pps"],
-                    state["horizon"],
-                    heartbeat=task_beat,
-                    allow_hang=True,
-                )
-            else:
-                rows = body(state, message, task_beat)
-        except InjectedCrash:
-            # A crashing worker does not get to report its own death:
-            # the pipe EOF *is* the report, exactly as for a real
-            # segfault. (conn closes with the process.) The journal
-            # events flushed before the crash are already parent-side.
-            conn.close()
-            os._exit(_CRASH_EXIT_STATUS)
-        except Exception as exc:  # noqa: BLE001 — shipped to the parent
-            error = f"{type(exc).__name__}: {exc}"
-        from repro.core.parallel import _compact_snapshot
-
-        recorder.record(
-            "task_end",
-            vp=label,
-            attempt=attempt,
-            status="failed" if error else "ok",
-            error=error,
-            destinations=destinations,
-        )
-        beat()  # about to block in send; still alive
-        conn.send(
-            (
-                vp_index,
-                attempt,
-                rows,
-                _compact_snapshot(REGISTRY.snapshot()),
-                dict(scenario.network.options_load),
-                error,
-                TRACER.snapshot(),
-                recorder.since(flushed_seq),
-            )
-        )
-        flushed_seq = recorder.last_seq
-
-
-class _WorkerHandle:
-    """Parent-side bookkeeping for one supervised worker process."""
-
-    __slots__ = ("process", "conn", "heartbeat", "task", "tries")
-
-    def __init__(self, process, conn, heartbeat) -> None:
-        self.process = process
-        self.conn = conn
-        self.heartbeat = heartbeat
-        self.task: Optional[Tuple[int, int]] = None  # (vp_index, attempt)
-        self.tries = 0  # watchdog-level tries consumed by current task
-
-
-class WorkerWatchdog:
-    """A supervised pool: heartbeat monitoring, kill/respawn, re-queue.
-
-    One instance persists across a campaign's retry rounds (workers
-    stay warm); :meth:`run_tasks` executes one round's worth of
-    ``(vp_index, attempt)`` tasks and reports per-VP outcomes:
-
-    ``{vp_index: (rows_or_None, kind, error_or_None)}`` with ``kind``
-    one of ``ok`` / ``failed`` / ``crash`` / ``hang``.
-
-    Telemetry (metrics snapshots + per-AS options load) from
-    *successful and failed* attempts is merged into the parent in VP
-    index order — independent of completion order, like the
-    unsupervised pool. Killed attempts ship nothing.
-    """
-
-    def __init__(
-        self,
-        scenario,
-        payload: dict,
-        jobs: int,
-        config: SupervisionConfig,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        import multiprocessing
-
-        if jobs < 1:
-            raise ValueError(f"jobs must be positive: {jobs}")
-        self.scenario = scenario
-        self.payload = payload
-        self.jobs = int(jobs)
-        self.config = config
-        self._ctx = multiprocessing.get_context()
-        registry = REGISTRY if registry is None else registry
-        self._registry = registry
-        net_id = scenario.network.net_id
-        self._hangs = supervisor_hang_counter(registry).labels(net_id)
-        self._crashes = supervisor_crash_counter(registry).labels(net_id)
-        self._respawns = supervisor_respawn_counter(registry).labels(net_id)
-        self._hb_ages = heartbeat_age_histogram(registry).labels(net_id)
-        self._workers: List[_WorkerHandle] = []
-        self.hangs_detected = 0
-        self.workers_respawned = 0
-        #: Per-VP flight-recorder mirror: the last
-        #: :data:`~repro.obs.journal.DEFAULT_JOURNAL_CAPACITY` journal
-        #: events each VP's workers flushed over their pipes, plus
-        #: synthetic ``watchdog_kill`` entries the parent adds when it
-        #: kills a worker. Survives :meth:`close` — quarantine
-        #: manifests read it after the pool is gone.
-        self.journals: Dict[int, deque] = {}
-        #: Task-key → display label. Campaign payloads label tasks by
-        #: VP name; generic payloads (``task_body``) put the label in
-        #: ``task[1]``. Populated as tasks are submitted.
-        self._labels: Dict[object, str] = {}
-        #: Optional per-poll observer ``callback(watchdog)`` — the
-        #: campaign's live status publisher hooks in here.
-        self.on_poll: Optional[Callable[["WorkerWatchdog"], None]] = None
-
-    def _task_label(self, task: tuple) -> str:
-        vps = self.payload.get("vps")
-        if self.payload.get("task_body") is None and vps is not None:
-            return vps[task[0]].name
-        return str(task[1]) if len(task) > 1 else str(task[0])
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _spawn_worker(self) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        heartbeat = self._ctx.Value("d", time.monotonic(), lock=False)
-        with parent_scenario(self.scenario):
-            process = self._ctx.Process(
-                target=_supervised_worker_main,
-                args=(self.payload, child_conn, heartbeat),
-                daemon=True,
-            )
-            process.start()
-        child_conn.close()  # our copy; the worker holds the live end
-        return _WorkerHandle(process, parent_conn, heartbeat)
-
-    def _kill_worker(self, handle: _WorkerHandle) -> None:
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - already gone
-            pass
-        process = handle.process
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stubborn child
-                process.kill()
-                process.join(timeout=5.0)
-        else:
-            process.join(timeout=5.0)
-
-    def _respawn(self, handle: _WorkerHandle) -> _WorkerHandle:
-        self._kill_worker(handle)
-        fresh = self._spawn_worker()
-        index = self._workers.index(handle)
-        self._workers[index] = fresh
-        self._respawns.inc()
-        self.workers_respawned += 1
-        return fresh
-
-    def close(self) -> None:
-        """Orderly shutdown: ask politely, then terminate stragglers."""
-        for handle in self._workers:
-            try:
-                handle.conn.send(None)
-            except (OSError, BrokenPipeError):
-                pass
-        for handle in self._workers:
-            handle.process.join(timeout=2.0)
-            self._kill_worker(handle)
-        self._workers = []
-
-    def __enter__(self) -> "WorkerWatchdog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- flight recorder / liveness views ----------------------------------
-
-    def _store_journal(self, vp_index: int, events: List[dict]) -> None:
-        store = self.journals.get(vp_index)
-        if store is None:
-            store = deque(maxlen=DEFAULT_JOURNAL_CAPACITY)
-            self.journals[vp_index] = store
-        store.extend(events)
-
-    def journal_tail(
-        self, vp_index: int, n: Optional[int] = None
-    ) -> List[dict]:
-        """The last ``n`` (default all kept) journal events for a VP —
-        what the quarantine manifest embeds as the post-mortem."""
-        store = self.journals.get(vp_index)
-        if not store:
-            return []
-        events = list(store)
-        if n is not None:
-            events = events[-n:]
-        return [dict(event) for event in events]
-
-    def journals_by_name(self) -> Dict[str, List[dict]]:
-        """``{task_label: events}`` for every task with journal history
-        (VP names for campaign payloads)."""
-        return {
-            self._labels.get(key, str(key)): [
-                dict(event) for event in store
-            ]
-            for key, store in sorted(self.journals.items())
-            if store
-        }
-
-    def heartbeat_ages(self) -> Dict[str, float]:
-        """``{task_label: seconds}`` since each busy worker's last beat."""
-        now = time.monotonic()
-        return {
-            self._labels.get(
-                handle.task[0], str(handle.task[0])
-            ): max(now - handle.heartbeat.value, 0.0)
-            for handle in self._workers
-            if handle.task is not None
-        }
-
-    # -- execution ---------------------------------------------------------
-
-    def run_tasks(
-        self, tasks: List[Tuple[int, int]]
-    ) -> Dict[int, Tuple[Optional[VPRows], str, Optional[str]]]:
-        """Execute one round of ``(vp_index, attempt)`` tasks."""
-        outcomes: Dict[
-            int, Tuple[Optional[VPRows], str, Optional[str]]
-        ] = {}
-        if not tasks:
-            return outcomes
-        for task in tasks:
-            self._labels[task[0]] = self._task_label(task)
-        want = max(1, min(self.jobs, len(tasks)))
-        while len(self._workers) < want:
-            self._workers.append(self._spawn_worker())
-
-        queue: deque = deque(tasks)
-        raw_results: List[tuple] = []
-        in_flight = 0
-
-        def dispatch() -> None:
-            nonlocal in_flight
-            for handle in self._workers:
-                if not queue:
-                    return
-                if handle.task is not None:
-                    continue
-                task = queue.popleft()
-                handle.task = task
-                handle.tries += 1
-                handle.heartbeat.value = time.monotonic()
-                try:
-                    handle.conn.send(task)
-                except (OSError, BrokenPipeError):
-                    # Died between tasks; revive and retry dispatch.
-                    handle.task = None
-                    handle.tries = 0
-                    queue.appendleft(task)
-                    self._respawn(handle)
-                    return
-                in_flight += 1
-
-        def fail_task(
-            handle: _WorkerHandle, kind: str, detail: str
-        ) -> None:
-            """Task's worker hung/died: re-queue within budget, else
-            report the poison outcome for this round."""
-            nonlocal in_flight
-            task = handle.task
-            assert task is not None
-            # The kill itself becomes the journal's final entry — the
-            # parent-side epilogue to whatever the worker last flushed.
-            self._store_journal(
-                task[0],
-                [
-                    {
-                        "seq": None,
-                        "wall": time.time(),
-                        "kind": "watchdog_kill",
-                        "reason": kind,
-                        "detail": detail,
-                        "attempt": task[1],
-                    }
-                ],
-            )
-            tries = handle.tries
-            handle.task = None
-            in_flight -= 1
-            fresh = self._respawn(handle)
-            if tries < self.config.task_tries:
-                fresh.tries = tries + 1  # budget follows the task
-                fresh.task = task
-                fresh.heartbeat.value = time.monotonic()
-                try:
-                    fresh.conn.send(task)
-                    in_flight += 1
-                    return
-                except (OSError, BrokenPipeError):  # pragma: no cover
-                    fresh.task = None
-                    fresh.tries = 0
-            vp_index = task[0]
-            outcomes[vp_index] = (None, kind, detail)
-
-        dispatch()
-        while in_flight or queue:
-            if not in_flight:
-                # A worker died at dispatch; the queue still holds its
-                # task and a fresh worker is up — try again.
-                dispatch()
-                continue
-            busy = {
-                handle.conn: handle
-                for handle in self._workers
-                if handle.task is not None
-            }
-            ready = _mp_wait(
-                list(busy), timeout=self.config.poll_interval
-            )
-            now = time.monotonic()
-            for conn in ready:
-                handle = busy[conn]
-                if handle.task is None:  # pragma: no cover - raced
-                    continue
-                try:
-                    message = handle.conn.recv()
-                except (EOFError, OSError):
-                    # Worker died mid-task: a crash.
-                    self._crashes.inc()
-                    fail_task(
-                        handle,
-                        "crash",
-                        "worker process died mid-task "
-                        f"(exitcode {handle.process.exitcode})",
-                    )
-                    continue
-                if message[0] == "journal":
-                    # Incremental flight-recorder flush; not a result.
-                    _tag, journal_vp, _attempt, events = message
-                    self._store_journal(journal_vp, events)
-                    continue
-                raw_results.append(message)
-                vp_index = message[0]
-                if message[7]:
-                    self._store_journal(vp_index, message[7])
-                outcomes[vp_index] = (
-                    message[2],
-                    "ok" if message[5] is None else "failed",
-                    message[5],
-                )
-                handle.task = None
-                handle.tries = 0
-                in_flight -= 1
-            # Hang scan: every busy worker's heartbeat age.
-            for handle in list(self._workers):
-                if handle.task is None:
-                    continue
-                age = now - handle.heartbeat.value
-                self._hb_ages.observe(max(age, 0.0))
-                if age > self.config.hang_timeout:
-                    self._hangs.inc()
-                    self.hangs_detected += 1
-                    fail_task(
-                        handle,
-                        "hang",
-                        f"no heartbeat for {age:.2f}s "
-                        f"(deadline {self.config.hang_timeout}s)",
-                    )
-            if self.on_poll is not None:
-                self.on_poll(self)
-            dispatch()
-
-        # Merge telemetry in VP index order so parent totals are
-        # independent of completion order (the unsupervised pool's
-        # rule, preserved). Span buffers merge under the currently
-        # open span (the dispatching round).
-        raw_results.sort(key=lambda item: item[0])
-        options_load = self.scenario.network.options_load
-        for (
-            _vp,
-            _attempt,
-            _rows,
-            snapshot,
-            load_delta,
-            _err,
-            spans,
-            _journal,
-        ) in raw_results:
-            self._registry.merge(snapshot)
-            TRACER.merge(spans)
-            for asn, count in load_delta.items():
-                options_load[asn] = options_load.get(asn, 0) + count
-        return outcomes

@@ -1,6 +1,6 @@
 """Flight recorder: a bounded ring of structured events per worker.
 
-When the :class:`~repro.faults.supervisor.WorkerWatchdog` kills a hung
+When the :class:`~repro.core.parallel.WorkerWatchdog` kills a hung
 worker, the process's state dies with it — metrics show *that* it
 hung, never *what it was doing*. A :class:`FlightRecorder` fixes the
 post-mortem gap: supervised workers record coarse structured events

@@ -20,8 +20,8 @@ Module map:
   deterministic fair-share unit planning across tenants.
 * :mod:`repro.service.streams` — :class:`TenantStream`: per-spec
   append-only checksummed JSONL with crash recovery.
-* :mod:`repro.service.executor` — unit execution, serial or through
-  the generalized :class:`~repro.faults.supervisor.WorkerWatchdog`.
+* :mod:`repro.service.executor` — the unit task body the executor
+  (:class:`~repro.core.parallel.WorkerWatchdog`) runs.
 * :mod:`repro.service.daemon` — :class:`MeasurementDaemon`: the run
   loop, per-tenant circuit breakers, checkpointing, live status.
 * :mod:`repro.service.control` — line-oriented JSON control socket

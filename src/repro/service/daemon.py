@@ -7,8 +7,9 @@ tenants. Its run loop is round-based and deterministic end to end:
    per-tenant circuit breakers one round;
 2. plan a fair-share batch of units (:class:`CreditScheduler`) —
    pure state, no clocks;
-3. execute the batch (:class:`ServiceExecutor`: in-process for
-   ``jobs=1``, persistent supervised watchdog pool for ``jobs>=2``);
+3. execute the batch on the executor
+   (:class:`~repro.core.parallel.WorkerWatchdog`: in-process for
+   ``jobs=1``, persistent supervised pool for ``jobs>=2``);
 4. fold outcomes **in plan order** (never completion order): charge
    credits, append stream records, advance spec state, checkpoint,
    publish status.
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.core.parallel import WorkerWatchdog
 from repro.faults.supervisor import CircuitBreaker, SupervisionConfig
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.status import CampaignStatusWriter
@@ -44,7 +46,7 @@ from repro.probing.artifacts import (
 )
 from repro.scenarios.internet import Scenario
 from repro.service.credits import CreditLedger, TenantQuota
-from repro.service.executor import ServiceExecutor, make_unit_task
+from repro.service.executor import make_unit_task, service_unit_body
 from repro.service.scheduler import (
     ACTIVE,
     CreditScheduler,
@@ -424,8 +426,13 @@ class MeasurementDaemon:
             if config.status_path is not None
             else None
         )
-        executor = ServiceExecutor(
-            self.scenario, config.jobs, config.supervision
+        executor = WorkerWatchdog(
+            self.scenario,
+            {"task_body": service_unit_body},
+            config.jobs,
+            None
+            if config.jobs == 1
+            else config.supervision or SupervisionConfig(),
         )
         control = None
         state = "done"
@@ -484,7 +491,7 @@ class MeasurementDaemon:
                     continue
                 # Probing runs outside the lock: control-socket
                 # submissions land concurrently and join next round.
-                outcomes = executor.run(tasks)
+                outcomes = executor.run_tasks(tasks)
                 with self._lock:
                     self._fold_round(plan, tasks, outcomes)
         except ServiceInterrupted:

@@ -5,29 +5,25 @@ A unit task is a picklable tuple
     ``(key, label, vp_name, kind, target_offset, target_count,
        slots, pps)``
 
-interpreted by :func:`service_unit_body` — the generic ``task_body``
-the generalized :class:`~repro.faults.supervisor.WorkerWatchdog`
-runs: resolve the VP and hitlist slice worker-side (both are fixed by
-the scenario, so tasks stay tiny on the pipe), then run the exact
-deterministic per-VP probe session the survey engine uses. ``jobs=1``
-runs the same body in-process; ``jobs>=2`` keeps a persistent
-supervised pool warm across scheduler rounds, which is what a
-long-running daemon wants (no per-round fork storm) and brings the
-watchdog's hang/crash recovery to every tenant for free.
+interpreted by :func:`service_unit_body` — the ``task_body`` the
+executor (:class:`~repro.core.parallel.WorkerWatchdog`) runs: resolve
+the VP and hitlist slice worker-side (both are fixed by the scenario,
+so tasks stay tiny on the pipe), then run the exact deterministic
+per-VP probe session the survey engine uses. The daemon runs it
+in-process at ``jobs=1`` and on a persistent supervised pool at
+``jobs>=2``, warm across scheduler rounds — what a long-running daemon
+wants (no per-round fork storm), with the watchdog's hang/crash
+recovery for every tenant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
 from repro.core.survey import probe_vp_rr
-from repro.faults.supervisor import SupervisionConfig, WorkerWatchdog
-from repro.obs.spans import TRACER
 from repro.probing.scheduler import ProbeOrder
 from repro.scenarios.internet import Scenario
 from repro.service.specs import PING_COUNT
 
-__all__ = ["ServiceExecutor", "make_unit_task", "service_unit_body"]
+__all__ = ["make_unit_task", "service_unit_body"]
 
 
 def make_unit_task(
@@ -95,78 +91,3 @@ def service_unit_body(state: dict, task: tuple, heartbeat=None) -> dict:
             for index, result in enumerate(results)
         ],
     }
-
-
-class ServiceExecutor:
-    """Runs one round's unit tasks, serially or on the watchdog pool."""
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        jobs: int = 1,
-        supervision: Optional[SupervisionConfig] = None,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be positive: {jobs}")
-        self.scenario = scenario
-        self.jobs = int(jobs)
-        self.supervision = supervision or SupervisionConfig()
-        self._watchdog: Optional[WorkerWatchdog] = None
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _pool(self) -> WorkerWatchdog:
-        if self._watchdog is None:
-            payload = {
-                "params": self.scenario.params,
-                "task_body": service_unit_body,
-                "spans": TRACER.enabled,
-                "batch": self.scenario.prober.batching,
-            }
-            self._watchdog = WorkerWatchdog(
-                self.scenario, payload, self.jobs, self.supervision
-            )
-        return self._watchdog
-
-    @property
-    def watchdog(self) -> Optional[WorkerWatchdog]:
-        return self._watchdog
-
-    def close(self) -> None:
-        if self._watchdog is not None:
-            self._watchdog.close()
-            self._watchdog = None
-
-    def __enter__(self) -> "ServiceExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- execution ---------------------------------------------------------
-
-    def run(
-        self, tasks: List[tuple]
-    ) -> Dict[int, Tuple[Optional[dict], str, Optional[str]]]:
-        """``{task_key: (payload_or_None, kind, error)}`` with ``kind``
-        in ``{ok, failed, crash, hang}`` (the watchdog's vocabulary;
-        the serial path can only produce ``ok``/``failed``)."""
-        if not tasks:
-            return {}
-        if self.jobs == 1:
-            outcomes: Dict[
-                int, Tuple[Optional[dict], str, Optional[str]]
-            ] = {}
-            state = {"scenario": self.scenario}
-            for task in tasks:
-                try:
-                    payload = service_unit_body(state, task)
-                    outcomes[task[0]] = (payload, "ok", None)
-                except Exception as exc:  # noqa: BLE001 — retried
-                    outcomes[task[0]] = (
-                        None,
-                        "failed",
-                        f"{type(exc).__name__}: {exc}",
-                    )
-            return outcomes
-        return self._pool().run_tasks(tasks)

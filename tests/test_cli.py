@@ -25,6 +25,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["probe"])
 
+    def test_nonpositive_jobs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["study", "--preset", "tiny", "--jobs", "0"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_presets_lists_all(self, capsys):

@@ -15,9 +15,12 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
+import os
 import pickle
+import signal
 
 import pytest
 
@@ -456,49 +459,82 @@ class TestSurveyWorkerError:
         assert "mlab-nyc" in str(clone)
 
     def test_worker_failure_names_the_vp(self, monkeypatch, targets):
-        """A crash inside a forked worker arrives attributed."""
+        """A failing VP task arrives attributed at every ``jobs``:
+        raised in-process, raised in a worker, or killing its worker."""
         import repro.core.survey as survey_mod
 
         world = get_preset("tiny", 13)
         victim = world.vps[1].name
         real = survey_mod.probe_vp_rr
+        test_pid = os.getpid()
+        failure = "raise"
 
         def sabotaged(scenario, vp, *args, **kwargs):
             if vp.name == victim:
+                if failure == "exit" and os.getpid() != test_pid:
+                    os._exit(1)
                 raise RuntimeError("synthetic probe failure")
             return real(scenario, vp, *args, **kwargs)
 
         monkeypatch.setattr(survey_mod, "probe_vp_rr", sabotaged)
-        with pytest.raises(SurveyWorkerError) as err:
-            run_rr_survey(
-                world, dests=targets[:5], vps=list(world.vps)[:3],
-                jobs=2,
-            )
-        assert err.value.name == victim
-        assert "synthetic probe failure" in err.value.message
+        for jobs, failure in ((1, "raise"), (2, "raise"), (2, "exit")):
+            with _deadline(30), pytest.raises(SurveyWorkerError) as err:
+                run_rr_survey(
+                    world, dests=targets[:5], vps=list(world.vps)[:3],
+                    jobs=jobs,
+                )
+            assert err.value.name == victim, (jobs, failure)
+            if failure == "exit":
+                assert "died mid-task" in err.value.message
+            else:
+                assert "synthetic probe failure" in err.value.message
+            if jobs == 1:
+                assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_campaign_retries_worker_failures(self, monkeypatch,
                                               targets):
-        """The campaign driver treats a crashing VP as retryable and
-        degrades to partial when it never heals."""
+        """The campaign driver treats a failing VP as retryable and
+        degrades to partial when it never heals — whether the attempt
+        raises in-process (jobs=1) or kills its worker (jobs=2)."""
         import repro.faults.supervisor as supervisor_mod
 
         world = get_preset("tiny", 13)
         victim = world.vps[1].name
         real = supervisor_mod.probe_vp_rr
+        test_pid = os.getpid()
 
         def sabotaged(scenario, vp, *args, **kwargs):
             if vp.name == victim:
+                if os.getpid() != test_pid:
+                    os._exit(1)
                 raise RuntimeError("permanently broken")
             return real(scenario, vp, *args, **kwargs)
 
         monkeypatch.setattr(supervisor_mod, "probe_vp_rr", sabotaged)
-        result = CampaignRunner(world, max_retries=1).run(
-            targets=targets[:5], vps=list(world.vps)[:3]
-        )
-        assert result.partial
-        assert result.failed_vps == [victim]
-        assert result.attempts[victim] == 2  # initial + 1 retry
+        for jobs in (1, 2):
+            with _deadline(30):
+                result = CampaignRunner(
+                    world, jobs=jobs, max_retries=1
+                ).run(targets=targets[:5], vps=list(world.vps)[:3])
+            assert result.partial, jobs
+            assert result.failed_vps == [victim], jobs
+            assert result.attempts[victim] == 2, jobs  # initial + 1 retry
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail instead of hanging when the body outlives ``seconds``."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

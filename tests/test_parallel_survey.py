@@ -14,13 +14,14 @@ import json
 
 import pytest
 
-from repro.core.parallel import ParallelSurveyRunner, default_jobs
+from repro.core.study import run_full_study
 from repro.core.survey import (
     load_survey,
     run_ping_survey,
     run_rr_survey,
     save_survey,
 )
+from repro.faults import CampaignRunner
 from repro.probing.prober import _MX_CACHE_MAX
 from repro.scenarios.internet import Scenario
 from repro.scenarios.presets import get_preset
@@ -178,13 +179,12 @@ class TestFaultedByteParity:
 
 
 class TestRunner:
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
-
     def test_rejects_nonpositive_jobs(self):
         scenario = get_preset("tiny", 2016)
-        with pytest.raises(ValueError):
-            ParallelSurveyRunner(scenario, jobs=0)
+        for run in (run_rr_survey, run_ping_survey, run_full_study,
+                    CampaignRunner):
+            with pytest.raises(ValueError, match="jobs must be positive"):
+                run(scenario, jobs=0)
 
     def test_pool_never_exceeds_task_count(self):
         """jobs > #VPs still works (pool is clamped to the task count)."""

@@ -46,7 +46,11 @@ from repro.faults import (
     load_checkpoint_with_fallback,
 )
 from repro.faults.campaign import CheckpointWriter
-from repro.faults.supervisor import InjectedHang, run_vp_attempt
+from repro.faults.supervisor import (
+    InjectedHang,
+    run_vp_attempt,
+    vp_attempt_body,
+)
 from repro.probing.artifacts import (
     CHECKSUM_KEY,
     atomic_write_text,
@@ -118,7 +122,7 @@ def _reference_checkpoint(fingerprint, completed, attempts):
 def _watchdog_payload(world, targets, vp_list, plan):
     position = {dest.addr: index for index, dest in enumerate(targets)}
     return {
-        "params": world.params,
+        "task_body": vp_attempt_body,
         "targets": targets,
         "position": position,
         "vps": vp_list,
@@ -295,7 +299,9 @@ class TestWorkerWatchdog:
         config = SupervisionConfig(**FAST)
         payload = _watchdog_payload(world, targets, vp_list, plan)
         with WorkerWatchdog(world, payload, 2, config) as watchdog:
-            outcomes = watchdog.run_tasks([(i, 1) for i in range(3)])
+            outcomes = watchdog.run_tasks(
+                [(i, vp_list[i].name, 1) for i in range(3)]
+            )
         assert outcomes[1][1] == "hang"
         assert "no heartbeat" in outcomes[1][2]
         assert outcomes[0][1] == "ok" and outcomes[2][1] == "ok"
@@ -316,7 +322,9 @@ class TestWorkerWatchdog:
         config = SupervisionConfig(**{**FAST, "task_tries": 2})
         payload = _watchdog_payload(world, targets, vp_list, plan)
         with WorkerWatchdog(world, payload, 1, config) as watchdog:
-            outcomes = watchdog.run_tasks([(victim_index, 1)])
+            outcomes = watchdog.run_tasks(
+                [(victim_index, vp_list[victim_index].name, 1)]
+            )
         assert outcomes[victim_index][1] == "hang"
         assert watchdog.hangs_detected == 2  # initial try + 1 re-queue
         assert watchdog.workers_respawned == 2
@@ -330,7 +338,9 @@ class TestWorkerWatchdog:
         config = SupervisionConfig(**FAST)
         payload = _watchdog_payload(world, targets, vp_list, plan)
         with WorkerWatchdog(world, payload, 2, config) as watchdog:
-            outcomes = watchdog.run_tasks([(i, 1) for i in range(4)])
+            outcomes = watchdog.run_tasks(
+                [(i, vp_list[i].name, 1) for i in range(4)]
+            )
         assert outcomes[2][1] == "crash"
         assert "died mid-task" in outcomes[2][2]
         healthy = [i for i in range(4) if i != 2]
