@@ -18,9 +18,11 @@ Commands:
   resilient (retrying, checkpointing, resumable) campaign driver and
   print its manifest; ``--supervise`` adds the watchdog/quarantine
   layer, ``--spans`` hierarchical span tracing, ``--status`` a live
-  status snapshot for ``repro top``. Exit codes: 0 = completed; 3 =
-  deliberately killed (``--kill-after-vps``, can be ``--resume``\\ d);
-  4 = completed but one or more VPs were quarantined as poison;
+  status snapshot for ``repro top``. Exit codes: 0 = completed; 2 =
+  usage error, or a ``--resume`` checkpoint that is unreadable or
+  records another campaign; 3 = deliberately killed
+  (``--kill-after-vps``, can be ``--resume``\\ d); 4 = completed but
+  one or more VPs were quarantined as poison;
 * ``top`` — poll a campaign's ``--status`` snapshot file and render a
   live operator view (progress, retry round, probes/sec, breaker
   states, heartbeat ages, quarantines);
@@ -59,7 +61,7 @@ from repro.core.reclassify import run_reclassification
 from repro.core.report import banner
 from repro.core.stamping_audit import run_stamping_study
 from repro.core.study import StudyData, get_study, run_resilient_study
-from repro.core.survey import save_survey
+from repro.core.survey import SurveyFormatError, save_survey
 from repro.core.table1 import build_table1
 from repro.core.temporal import build_figure2
 from repro.core.ttl import run_ttl_study
@@ -632,15 +634,19 @@ def _cmd_study(args: argparse.Namespace) -> int:
             scenario_seed=args.seed,
             seed=getattr(args, "fault_seed", None),
         )
-        study, result = run_resilient_study(
-            scenario,
-            plan=plan,
-            jobs=getattr(args, "jobs", 1),
-            max_retries=getattr(args, "max_retries", 3),
-            checkpoint_path=checkpoint,
-            resume=getattr(args, "resume", False),
-            batch=not getattr(args, "no_batch", False),
-        )
+        try:
+            study, result = run_resilient_study(
+                scenario,
+                plan=plan,
+                jobs=getattr(args, "jobs", 1),
+                max_retries=getattr(args, "max_retries", 3),
+                checkpoint_path=checkpoint,
+                resume=getattr(args, "resume", False),
+                batch=not getattr(args, "no_batch", False),
+            )
+        except SurveyFormatError as exc:
+            print(f"study: {exc}", file=sys.stderr)
+            return 2
         if result.partial:
             print(
                 "warning: partial campaign — failed VPs: "
@@ -730,6 +736,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 write_spans_jsonl(args.spans_output, TRACER.snapshot())
                 print(f"wrote {args.spans_output}", file=sys.stderr)
             return EXIT_INTERRUPTED
+        except SurveyFormatError as exc:
+            print(f"chaos: {exc}", file=sys.stderr)
+            return 2
     finally:
         if spans_on:
             TRACER.configure(False)

@@ -44,6 +44,7 @@ from repro.probing.artifacts import (
     embed_checksum,
     verify_embedded_checksum,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import TRACER
 from repro.obs.timing import timed
 from repro.probing.prober import DEFAULT_PPS
@@ -294,12 +295,14 @@ def save_survey(survey: RRSurvey, path: Union[str, Path]) -> None:
 
 
 def load_json_artifact(
-    path: Union[str, Path], kind: str = "artifact"
+    path: Union[str, Path],
+    kind: str = "artifact",
+    registry: Optional[MetricsRegistry] = None,
 ) -> dict:
     """Read + parse a (possibly gzipped) JSON artifact, or raise
     :class:`SurveyFormatError` with the path and a clear reason.
 
-    Shared by :func:`load_survey` and the campaign checkpoint loader:
+    Shared by :func:`load_survey` and the service checkpoint loader:
     truncated gzip streams (``EOFError``), corrupt gzip headers
     (``gzip.BadGzipFile``), truncated/garbage JSON
     (``json.JSONDecodeError``), and non-UTF-8 bytes all surface as the
@@ -311,8 +314,9 @@ def load_json_artifact(
     written since checksums existed does), it is recomputed over the
     parsed record's canonical bytes and compared; a mismatch raises
     :class:`SurveyFormatError` and is counted in
-    ``artifact_checksum_failures_total{kind}``. The checksum field is
-    stripped from the returned record.
+    ``artifact_checksum_failures_total{kind}`` (in ``registry``, the
+    process-wide one by default). The checksum field is stripped from
+    the returned record.
     """
     raw = Path(path).read_bytes()
     if _is_gzip_path(path):
@@ -339,7 +343,9 @@ def load_json_artifact(
         raise SurveyFormatError(
             path, f"expected a JSON object, got {type(record).__name__}"
         )
-    body, checksum_error = verify_embedded_checksum(record, kind=kind)
+    body, checksum_error = verify_embedded_checksum(
+        record, kind=kind, registry=registry
+    )
     if checksum_error is not None:
         raise SurveyFormatError(path, checksum_error)
     return body

@@ -24,9 +24,7 @@ from repro.faults.campaign import (
     CampaignInterrupted,
     CampaignResult,
     CampaignRunner,
-    checkpoint_generation_path,
     load_checkpoint,
-    load_checkpoint_with_fallback,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.specs import (
@@ -64,7 +62,5 @@ __all__ = [
     "VpHang",
     "VpHealthTracker",
     "WorkerWatchdog",
-    "checkpoint_generation_path",
     "load_checkpoint",
-    "load_checkpoint_with_fallback",
 ]

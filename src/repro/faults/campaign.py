@@ -18,8 +18,9 @@ driver that survives it:
   degrades gracefully instead of spinning;
 * **graceful degradation** — VPs that exhaust their retries are listed
   in the result manifest (``partial=True``) rather than raised;
-* **checkpoint/resume** — every completed VP is appended to an atomic
-  JSON checkpoint; a killed campaign restarted with ``resume=True``
+* **checkpoint/resume** — the checkpoint is an append-only log: a
+  header line, then one fsynced, checksummed line per completed VP; a
+  killed campaign restarted with ``resume=True`` drops a torn tail,
   skips completed VPs and produces **byte-identical** merged output
   (per-VP sessions are self-contained, so partial execution order
   cannot leak into the rows).
@@ -33,21 +34,13 @@ silently merging apples into oranges.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.parallel import WorkerWatchdog
-from repro.core.survey import (
-    RRSurvey,
-    SurveyFormatError,
-    VPRows,
-    load_json_artifact,
-)
+from repro.core.survey import RRSurvey, SurveyFormatError, VPRows
 from repro.faults.injector import fault_event_counter
 from repro.faults.specs import FaultPlan, VpChurn
 from repro.faults.supervisor import (
@@ -59,11 +52,15 @@ from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.spans import TRACER
 from repro.obs.status import CampaignStatusWriter, sum_counter
 from repro.probing.artifacts import (
-    CHECKSUM_KEY,
+    append_text_line,
     atomic_write_bytes,
     atomic_write_text,
     canonical_json_bytes,
     embed_checksum,
+    record_line,
+    truncate_log,
+    verified_prefix,
+    verified_record,
 )
 from repro.probing.validation import empty_quality, merge_quality
 from repro.probing.prober import DEFAULT_PPS
@@ -77,20 +74,17 @@ __all__ = [
     "CampaignInterrupted",
     "CampaignResult",
     "CampaignRunner",
-    "CheckpointWriter",
-    "checkpoint_generation_path",
     "load_checkpoint",
-    "load_checkpoint_with_fallback",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CampaignInterrupted(RuntimeError):
     """The campaign was deliberately killed mid-run (``kill_after_vps``).
 
-    Raised *after* the checkpoint for the final completed VP has been
-    flushed, so a subsequent ``resume=True`` run picks up cleanly.
+    Raised *after* the final completed VP's checkpoint line has been
+    appended, so a subsequent ``resume=True`` run picks up cleanly.
     The CI chaos-smoke job uses this to simulate an operator's ^C.
     """
 
@@ -133,11 +127,11 @@ def campaign_resume_counter(registry: MetricsRegistry):
 
 
 def checkpoint_repair_counter(registry: MetricsRegistry):
-    """``campaign_checkpoint_repairs_total{net}`` — corrupt newest
-    checkpoints recovered from the previous generation."""
+    """``campaign_checkpoint_repairs_total{net}`` — resumed
+    checkpoint logs whose torn or corrupt tail was dropped."""
     return registry.counter(
         "campaign_checkpoint_repairs_total",
-        "Corrupt checkpoints auto-repaired from the previous generation.",
+        "Resumed checkpoints whose torn or corrupt tail was dropped.",
         ("net",),
     )
 
@@ -221,176 +215,82 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint I/O.
+# Checkpoint I/O: an append-only log of checksummed lines.
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_generation_path(path: Union[str, Path]) -> Path:
-    """The previous-generation sibling of a checkpoint (``*.ckpt.1``)."""
-    path = Path(path)
-    return path.with_name(path.name + ".1")
-
-
-def _json_object(fragments: Dict[str, str]) -> str:
-    """A JSON object from already-encoded member values, keys sorted
-    and separators compact — ``json.dumps(..., sort_keys=True,
-    separators=(",", ":"))`` of the decoded members, byte for byte."""
-    return "{" + ",".join(
-        json.dumps(key) + ":" + fragments[key] for key in sorted(fragments)
-    ) + "}"
-
-
-class CheckpointWriter:
-    """One campaign run's checkpoint writer.
-
-    Every write persists the whole state (``version``, ``fingerprint``,
-    ``completed``, ``attempts``) with its embedded sha256, so a
-    campaign of N VPs writes N full generations. The completed VPs'
-    entries are most of those bytes and never change once a VP
-    completes, so each entry is JSON-encoded once (keyed by name, and
-    re-encoded only if the entry object is replaced) and every
-    generation is assembled from the cached fragments. The canonical
-    body the digest covers and the file itself are the same fragments
-    without and with the ``sha256`` member, so every file is
-    byte-identical to ``json.dumps(embed_checksum(payload),
-    sort_keys=True, separators=(",", ":"))`` of the full payload.
-    """
-
-    def __init__(self, path: Path, fingerprint: str) -> None:
-        self.path = path
-        self._fixed = {
-            "fingerprint": json.dumps(fingerprint),
-            "version": json.dumps(CHECKPOINT_VERSION),
-        }
-        #: name -> (the VPRows object encoded, its JSON fragment).
-        self._entries: Dict[str, Tuple[VPRows, str]] = {}
-
-    def _entry(self, name: str, rows: VPRows) -> str:
-        cached = self._entries.get(name)
-        if cached is not None and cached[0] is rows:
-            return cached[1]
-        found, inprefix, quality = rows
-        # Tuples encode as JSON arrays, so rows/inprefix need no copy.
-        # ``quality`` is plain JSON data already; checkpointed so a
-        # resumed campaign reproduces the same sidecar and manifest
-        # bytes as an uninterrupted one.
-        fragment = json.dumps(
-            {"rows": found, "inprefix": inprefix, "quality": quality},
-            sort_keys=True,
-            separators=(",", ":"),
+def _expect(
+    path: Union[str, Path], what: str, value: object, kind: type, label: str
+) -> None:
+    """Raise :class:`SurveyFormatError` unless ``value`` is a ``kind``
+    (booleans never pass, so ``int`` means a real integer)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SurveyFormatError(
+            path,
+            f"checkpoint {what} must be {label}, "
+            f"got {type(value).__name__}",
         )
-        self._entries[name] = (rows, fragment)
-        return fragment
-
-    def write(
-        self, completed: Dict[str, VPRows], attempts: Dict[str, int]
-    ) -> None:
-        members = dict(self._fixed)
-        members["completed"] = _json_object({
-            name: self._entry(name, rows) for name, rows in completed.items()
-        })
-        members["attempts"] = json.dumps(
-            attempts, sort_keys=True, separators=(",", ":")
-        )
-        body = _json_object(members).encode("utf-8")
-        members[CHECKSUM_KEY] = json.dumps(hashlib.sha256(body).hexdigest())
-        # Generation rotation: the current newest becomes ``.1`` so a
-        # corrupt write (or a corrupted-at-rest newest file) can be
-        # repaired from the previous complete state at load time.
-        path = self.path
-        if path.exists():
-            os.replace(path, checkpoint_generation_path(path))
-        atomic_write_bytes(path, _json_object(members).encode("utf-8"))
 
 
 def load_checkpoint(path: Union[str, Path]) -> dict:
-    """Load + structurally validate a campaign checkpoint.
+    """Load + structurally validate a campaign checkpoint log.
 
-    Reuses :func:`~repro.core.survey.load_json_artifact`, so truncated
-    or corrupt files, non-UTF-8 bytes, and embedded-checksum
-    mismatches all surface as :class:`SurveyFormatError` with the path
-    and reason. On top of that the checkpoint *schema* is validated —
-    required keys present with the right shapes — so drift (a hand-
-    edited file, a record from a future version) fails loudly instead
-    of exploding deep inside the resume path.
+    The first line is the header (``version``, ``fingerprint``); each
+    later line records one completed VP as ``{"completed": {name:
+    {"rows", "inprefix", "quality"}}, "attempts": {...}}`` — the whole
+    attempts map at that moment. Only the verified prefix counts
+    (:func:`~repro.probing.artifacts.verified_prefix`): a torn or
+    corrupt line and everything after it are ignored. Returns the
+    folded state — ``fingerprint``, every ``completed`` entry, the last
+    line's ``attempts`` — plus ``lines``, the verified lines a resumed
+    run cuts the file back to.
+
+    Raises :class:`SurveyFormatError` with the path and reason when the
+    header is unreadable or of another version, or a verified line
+    breaks the schema (a hand-edited file, a record from a future
+    version), instead of exploding deep inside the resume path.
     """
-    data = load_json_artifact(path, kind="checkpoint")
-    if data.get("version") != CHECKPOINT_VERSION:
+    lines = verified_prefix(path)
+    # A v1 checkpoint is one unterminated JSON object, so it has no
+    # verified line: verify it whole so it fails on its version.
+    header = (
+        lines[0][1] if lines else verified_record(Path(path).read_bytes())
+    )
+    if header is not None and header.get("version") != CHECKPOINT_VERSION:
         raise SurveyFormatError(
             path,
-            f"unsupported checkpoint version: {data.get('version')!r}",
+            f"unsupported checkpoint version: {header.get('version')!r}",
         )
-    for key in ("fingerprint", "completed", "attempts"):
-        if key not in data:
-            raise SurveyFormatError(
-                path, f"checkpoint missing {key!r} field"
+    if not lines:
+        raise SurveyFormatError(path, "checkpoint header is torn or corrupt")
+    _expect(path, "'fingerprint'", header.get("fingerprint"), str, "a string")
+    data = {
+        "fingerprint": header["fingerprint"],
+        "completed": {},
+        "attempts": {},
+        "lines": [line for line, _body in lines],
+    }
+    for number, (_line, entry) in enumerate(lines[1:], start=2):
+        where = f"line {number}"
+        completed, attempts = entry.get("completed"), entry.get("attempts")
+        _expect(path, f"{where} 'completed'", completed, dict, "a map")
+        _expect(path, f"{where} 'attempts'", attempts, dict, "a map")
+        for name, vp_entry in completed.items():
+            what = f"{where} completed[{name!r}]"
+            _expect(path, what, vp_entry, dict, "a map")
+            for key, kind, label in (
+                ("rows", list, "a list"),
+                ("inprefix", list, "a list"),
+                ("quality", dict, "a map"),
+            ):
+                _expect(path, f"{what}.{key}", vp_entry.get(key), kind, label)
+        for name, count in attempts.items():
+            _expect(
+                path, f"{where} attempts[{name!r}]", count, int, "an integer"
             )
-    if not isinstance(data["fingerprint"], str):
-        raise SurveyFormatError(
-            path,
-            "checkpoint 'fingerprint' must be a string, got "
-            f"{type(data['fingerprint']).__name__}",
-        )
-    if not isinstance(data["completed"], dict):
-        raise SurveyFormatError(path, "checkpoint 'completed' not a map")
-    for name, entry in data["completed"].items():
-        if not isinstance(entry, dict):
-            raise SurveyFormatError(
-                path, f"checkpoint completed[{name!r}] not a map"
-            )
-        for key in ("rows", "inprefix"):
-            if key not in entry:
-                raise SurveyFormatError(
-                    path,
-                    f"checkpoint completed[{name!r}] missing {key!r}",
-                )
-            if not isinstance(entry[key], list):
-                raise SurveyFormatError(
-                    path,
-                    f"checkpoint completed[{name!r}].{key} must be a "
-                    f"list, got {type(entry[key]).__name__}",
-                )
-        if "quality" in entry and not isinstance(entry["quality"], dict):
-            raise SurveyFormatError(
-                path,
-                f"checkpoint completed[{name!r}].quality must be a "
-                f"map, got {type(entry['quality']).__name__}",
-            )
-    if not isinstance(data["attempts"], dict):
-        raise SurveyFormatError(path, "checkpoint 'attempts' not a map")
-    for name, count in data["attempts"].items():
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise SurveyFormatError(
-                path,
-                f"checkpoint attempts[{name!r}] must be an integer, "
-                f"got {type(count).__name__}",
-            )
+        data["completed"].update(completed)
+        data["attempts"] = attempts
     return data
-
-
-def load_checkpoint_with_fallback(
-    path: Union[str, Path]
-) -> Tuple[dict, bool]:
-    """Load the newest checkpoint, falling back one generation on
-    corruption.
-
-    Returns ``(data, repaired)``: ``repaired`` is True when the newest
-    file was corrupt (or missing while a previous generation exists)
-    and the previous generation loaded cleanly. If both generations
-    are bad, the *newest* file's error propagates — it is the one the
-    operator should inspect first.
-    """
-    path = Path(path)
-    previous = checkpoint_generation_path(path)
-    try:
-        return load_checkpoint(path), False
-    except (SurveyFormatError, FileNotFoundError) as newest_error:
-        if not previous.exists():
-            raise
-        try:
-            return load_checkpoint(previous), True
-        except (SurveyFormatError, FileNotFoundError):
-            raise newest_error from None
 
 
 class CampaignRunner:
@@ -504,30 +404,25 @@ class CampaignRunner:
     # -- checkpointing -----------------------------------------------------
 
     def _load_resume_state(
-        self, fingerprint: str
+        self, fingerprint: str, vps: Sequence[VantagePoint]
     ) -> Tuple[Dict[str, VPRows], Dict[str, int], bool]:
+        """The checkpoint's completed VPs and attempts, plus whether a
+        torn or corrupt tail was cut off the log (before any append)."""
         path = self.checkpoint_path
         assert path is not None
-        data, repaired = load_checkpoint_with_fallback(path)
-        if repaired:
-            # Re-materialise the newest generation from the recovered
-            # state so subsequent writes rotate a *good* file into
-            # ``.1`` and the corrupt one stops masquerading as data.
-            self._repairs.inc()
-            atomic_write_text(
-                path,
-                json.dumps(
-                    embed_checksum(data),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                ),
-            )
+        data = load_checkpoint(path)
         if data["fingerprint"] != fingerprint:
             raise SurveyFormatError(
                 path,
                 "checkpoint fingerprint mismatch: it records a different "
                 "campaign (scenario/targets/VPs/pacing/fault plan) "
                 f"[{data['fingerprint']} != {fingerprint}]",
+            )
+        stray = set(data["completed"]) - {vp.name for vp in vps}
+        if stray:
+            raise SurveyFormatError(
+                path,
+                "checkpoint names unknown VPs: " + ", ".join(sorted(stray)),
             )
         completed: Dict[str, VPRows] = {}
         try:
@@ -540,10 +435,7 @@ class CampaignRunner:
                     (int(dest_index), tuple(int(a) for a in addrs))
                     for dest_index, addrs in entry["inprefix"]
                 ]
-                quality = entry.get("quality")
-                if not isinstance(quality, dict):
-                    quality = empty_quality()
-                completed[name] = (rows, inprefix, quality)
+                completed[name] = (rows, inprefix, entry["quality"])
             attempts = {
                 str(name): int(count)
                 for name, count in data["attempts"].items()
@@ -553,7 +445,7 @@ class CampaignRunner:
                 path,
                 f"malformed checkpoint record: {type(exc).__name__}: {exc}",
             ) from exc
-        return completed, attempts, repaired
+        return completed, attempts, truncate_log(path, data["lines"])
 
     # -- execution ---------------------------------------------------------
 
@@ -578,34 +470,28 @@ class CampaignRunner:
         attempts: Dict[str, int] = {}
         resumed = 0
         checkpoint_repairs = 0
-        checkpoint = (
-            None
-            if self.checkpoint_path is None
-            else CheckpointWriter(self.checkpoint_path, fingerprint)
-        )
-        if resume:
-            if self.checkpoint_path is None:
-                raise ValueError("resume=True requires a checkpoint path")
-            if (
-                self.checkpoint_path.exists()
-                or checkpoint_generation_path(self.checkpoint_path).exists()
-            ):
-                completed, attempts, repaired = self._load_resume_state(
-                    fingerprint
-                )
-                if repaired:
-                    checkpoint_repairs += 1
-                known = {vp.name for vp in vp_list}
-                stray = set(completed) - known
-                if stray:
-                    raise SurveyFormatError(
-                        self.checkpoint_path,
-                        "checkpoint names unknown VPs: "
-                        + ", ".join(sorted(stray)),
-                    )
-                resumed = len(completed)
-                if resumed:
-                    self._resumed.inc(resumed)
+        checkpoint = self.checkpoint_path
+        if resume and checkpoint is None:
+            raise ValueError("resume=True requires a checkpoint path")
+        if resume and checkpoint.exists():
+            completed, attempts, repaired = self._load_resume_state(
+                fingerprint, vp_list
+            )
+            if repaired:
+                checkpoint_repairs = 1
+                self._repairs.inc()
+            resumed = len(completed)
+            if resumed:
+                self._resumed.inc(resumed)
+        elif checkpoint is not None:
+            atomic_write_text(
+                checkpoint,
+                record_line({
+                    "version": CHECKPOINT_VERSION,
+                    "fingerprint": fingerprint,
+                })
+                + "\n",
+            )
 
         dark = self.plan.churned_vps([vp.name for vp in vp_list])
         pending: List[int] = [
@@ -813,7 +699,15 @@ class CampaignRunner:
                             if tracker is not None:
                                 tracker.record(name, "ok")
                             if checkpoint is not None:
-                                checkpoint.write(completed, attempts)
+                                found, inprefix, quality = rows
+                                append_text_line(checkpoint, record_line({
+                                    "completed": {name: {
+                                        "rows": found,
+                                        "inprefix": inprefix,
+                                        "quality": quality,
+                                    }},
+                                    "attempts": attempts,
+                                }))
                             completed_this_run += 1
                             if (
                                 self.kill_after_vps is not None

@@ -1,10 +1,11 @@
-"""Artifact integrity primitives: atomic writes + content checksums.
+"""Artifact integrity primitives: atomic writes, content checksums and
+append-only line logs.
 
 Every artifact this repository persists — survey JSON (plain or
-gzipped), campaign checkpoints, JSONL result stores — represents
-hours of (simulated) probing. A half-written or bit-rotted file must
-therefore never masquerade as data. Two primitives, shared by every
-writer:
+gzipped), campaign checkpoints, service streams, JSONL result stores —
+represents hours of (simulated) probing. A half-written or bit-rotted
+file must therefore never masquerade as data. Three primitives, shared
+by every writer:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` — the single
   write-rename helper. Content lands in a same-directory temp file,
@@ -19,6 +20,12 @@ writer:
   a flipped digit) is caught before it poisons an analysis. Artifacts
   written before checksums existed simply lack the field and still
   load.
+* The line-log codec — :func:`record_line`, :func:`append_text_line`,
+  :func:`verified_record`, :func:`verified_prefix` and
+  :func:`truncate_log` — for artifacts that grow one record at a time
+  (campaign checkpoints, per-spec service streams): each line is a
+  checksummed canonical record appended with fsync, and recovery keeps
+  the verified prefix and cuts the torn or corrupt tail off in place.
 
 Verification outcomes are counted in the process-wide metrics
 registry (``artifact_checksum_verified_total`` /
@@ -32,7 +39,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import CounterFamily, MetricsRegistry, REGISTRY
 
@@ -44,7 +51,11 @@ __all__ = [
     "canonical_json_bytes",
     "checksum_of",
     "embed_checksum",
+    "record_line",
     "split_checksum",
+    "truncate_log",
+    "verified_prefix",
+    "verified_record",
     "verify_embedded_checksum",
     "checksum_verified_counter",
     "checksum_failure_counter",
@@ -108,23 +119,6 @@ def atomic_write_text(
 ) -> None:
     """Atomic text write (see :func:`atomic_write_bytes`)."""
     atomic_write_bytes(path, text.encode(encoding))
-
-
-def append_text_line(
-    path: Union[str, Path], line: str, encoding: str = "utf-8"
-) -> None:
-    """Durably append one line to a streaming artifact.
-
-    The record-at-a-time sibling of :func:`atomic_write_text`: flush +
-    fsync after each line, so a crash can truncate the file mid-line
-    at worst — never reorder or interleave records. Readers pair this
-    with a recovery pass that drops a torn final line (see
-    ``repro.service.streams``).
-    """
-    with open(path, "a", encoding=encoding, newline="") as fh:
-        fh.write(line + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +186,81 @@ def verify_embedded_checksum(
         )
     checksum_verified_counter(registry).labels(kind).inc()
     return body, None
+
+
+# ---------------------------------------------------------------------------
+# Append-only line logs: one checksummed canonical record per line.
+# ---------------------------------------------------------------------------
+
+
+def record_line(record: Dict) -> str:
+    """``record`` as one log line (newline excluded): its canonical
+    JSON with the embedded sha256."""
+    return canonical_json_bytes(embed_checksum(record)).decode("utf-8")
+
+
+def append_text_line(
+    path: Union[str, Path], line: str, encoding: str = "utf-8"
+) -> None:
+    """Durably append one line to a streaming artifact.
+
+    The record-at-a-time sibling of :func:`atomic_write_text`: flush +
+    fsync after each line, so a crash can truncate the file mid-line
+    at worst — never reorder or interleave records. Readers pair this
+    with :func:`verified_prefix` and :func:`truncate_log`, which drop
+    a torn final line.
+    """
+    with open(path, "a", encoding=encoding, newline="") as fh:
+        fh.write(line + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def verified_record(line: Union[str, bytes]) -> Optional[Dict]:
+    """Parse + verify one log line; ``None`` for anything torn,
+    tampered, or without an embedded checksum."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(record, dict):
+        return None
+    body, stored = split_checksum(record)
+    if stored is None or checksum_of(body) != stored:
+        return None
+    return body
+
+
+def verified_prefix(path: Union[str, Path]) -> List[Tuple[bytes, Dict]]:
+    """The good head of a line log, as ``(line, body)`` pairs.
+
+    Reading stops at the first line that is not newline-terminated or
+    does not verify: a crash mid-append tears at most the final line,
+    and lines after a bad one cannot be trusted to continue the log.
+    Read-only; :func:`truncate_log` cuts the file back.
+    """
+    kept: List[Tuple[bytes, Dict]] = []
+    # The last split piece is an unterminated tail (or empty).
+    for line in Path(path).read_bytes().split(b"\n")[:-1]:
+        body = verified_record(line)
+        if body is None:
+            break
+        kept.append((line, body))
+    return kept
+
+
+def truncate_log(path: Union[str, Path], lines: Sequence[bytes]) -> bool:
+    """Cut a line log back to ``lines``, a prefix of its own lines.
+
+    In place and fsynced, so the file keeps its inode and the next
+    :func:`append_text_line` continues it. Returns whether a tail was
+    dropped.
+    """
+    size = sum(len(line) + 1 for line in lines)
+    with open(path, "r+b") as fh:
+        if os.fstat(fh.fileno()).st_size == size:
+            return False
+        fh.truncate(size)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return True

@@ -36,14 +36,11 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.parallel import WorkerWatchdog
+from repro.core.survey import load_json_artifact
 from repro.faults.supervisor import CircuitBreaker, SupervisionConfig
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.status import CampaignStatusWriter
-from repro.probing.artifacts import (
-    atomic_write_text,
-    embed_checksum,
-    verify_embedded_checksum,
-)
+from repro.probing.artifacts import atomic_write_text, embed_checksum
 from repro.scenarios.internet import Scenario
 from repro.service.credits import CreditLedger, TenantQuota
 from repro.service.executor import make_unit_task, service_unit_body
@@ -369,12 +366,9 @@ class MeasurementDaemon:
         path = self.config.checkpoint_path
         if path is None or not Path(path).exists():
             return False
-        raw = json.loads(Path(path).read_text("utf-8"))
-        body, error = verify_embedded_checksum(
-            raw, kind=CHECKPOINT_KIND, registry=self._registry
+        body = load_json_artifact(
+            path, kind=CHECKPOINT_KIND, registry=self._registry
         )
-        if error is not None:
-            raise ValueError(f"{path}: {error}")
         if (
             body.get("kind") != CHECKPOINT_KIND
             or body.get("version") != CHECKPOINT_VERSION
@@ -390,11 +384,17 @@ class MeasurementDaemon:
                 f"daemon is running {self.scenario.name!r} seed "
                 f"{self.scenario.seed!r}"
             )
-        for record in body.get("specs", ()):
-            spec = parse_spec(record["spec"])
-            state = self.scheduler.restore_state(
-                record, self.scenario, spec
-            )
+        for index, record in enumerate(body.get("specs", ())):
+            try:
+                spec = parse_spec(record["spec"])
+                state = self.scheduler.restore_state(
+                    record, self.scenario, spec
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: malformed spec record {index}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             if state.status != REJECTED:
                 state.stream = TenantStream.open(
                     self.stream_path(spec),

@@ -3,7 +3,7 @@
 Each admitted spec owns one stream file
 (``<stream_dir>/<tenant>/<spec>.jsonl``). Every completed unit
 appends exactly one line — the unit record in canonical JSON with an
-embedded per-line sha256 (:func:`repro.probing.artifacts.embed_checksum`)
+embedded per-line sha256 (:func:`repro.probing.artifacts.record_line`)
 — durably (flush + fsync) via :func:`append_text_line`. When the spec
 finishes, a trailer line seals the stream: record count plus a
 ``body_sha256`` over all record lines, itself checksummed.
@@ -15,28 +15,27 @@ global scheduling interleave or worker count; the trailer is computed
 from the records alone (no timestamps). Hence the full stream file is
 byte-identical across worker counts, pauses, and kill→resume.
 
-Crash recovery (:meth:`TenantStream.open`): re-validate every line,
-drop a torn/invalid tail, drop any trailer (the daemon re-finalizes
-finished specs — the trailer is deterministic so re-sealing rewrites
-identical bytes), and truncate to the checkpoint's flushed-unit count
-— a crash after flush but before checkpoint leaves one extra valid
-record, which resume rewinds and replays identically.
+Crash recovery (:meth:`TenantStream.open`): keep the verified prefix
+(:func:`repro.probing.artifacts.verified_prefix`), so a torn/invalid
+tail goes; drop any trailer (the daemon re-finalizes finished specs —
+the trailer is deterministic so re-sealing rewrites identical bytes);
+and cut back to the checkpoint's flushed-unit count — a crash after
+flush but before checkpoint leaves one extra valid record, which
+resume rewinds and replays identically.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.probing.artifacts import (
     append_text_line,
-    atomic_write_text,
-    canonical_json_bytes,
-    checksum_of,
-    embed_checksum,
-    split_checksum,
+    record_line,
+    truncate_log,
+    verified_prefix,
+    verified_record,
 )
 
 __all__ = [
@@ -60,24 +59,6 @@ class StreamFormatError(ValueError):
         super().__init__(f"{path}: {reason}")
         self.path = str(path)
         self.reason = reason
-
-
-def _record_line(record: dict) -> str:
-    return canonical_json_bytes(embed_checksum(record)).decode("utf-8")
-
-
-def _valid_record(line: str) -> Optional[dict]:
-    """Parse + verify one line; ``None`` for anything torn or tampered."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict):
-        return None
-    body, stored = split_checksum(record)
-    if stored is None or checksum_of(body) != stored:
-        return None
-    return body
 
 
 class TenantStream:
@@ -123,17 +104,13 @@ class TenantStream:
                 )
             stream.path.write_text("", encoding="utf-8")
             return stream
-        kept: List[str] = []
-        dirty = False
-        for line in stream.path.read_text("utf-8").splitlines():
-            body = _valid_record(line)
-            if body is None or body.get("record") == TRAILER_RECORD:
-                # Torn tail or trailer: everything from here on is
-                # rewritten by the resumed run.
-                dirty = True
-                break
-            if expect_records is not None and len(kept) >= expect_records:
-                dirty = True
+        kept: List[bytes] = []
+        for line, body in verified_prefix(stream.path):
+            if body.get("record") == TRAILER_RECORD or (
+                expect_records is not None and len(kept) >= expect_records
+            ):
+                # Trailer or unrecorded units: everything from here on
+                # is rewritten by the resumed run.
                 break
             kept.append(line)
         if expect_records is not None and len(kept) < expect_records:
@@ -142,13 +119,9 @@ class TenantStream:
                 f"only {len(kept)} valid records recovered; checkpoint "
                 f"recorded {expect_records} flushed units",
             )
-        if dirty:
-            atomic_write_text(
-                stream.path,
-                "".join(line + "\n" for line in kept),
-            )
+        truncate_log(stream.path, kept)
         for line in kept:
-            stream._body_hash.update((line + "\n").encode("utf-8"))
+            stream._body_hash.update(line + b"\n")
         stream.records = len(kept)
         return stream
 
@@ -158,7 +131,7 @@ class TenantStream:
         """Durably append one unit record (checksummed canonical JSON)."""
         if self.finalized:
             raise StreamFormatError(self.path, "stream already finalized")
-        line = _record_line(record)
+        line = record_line(record)
         append_text_line(self.path, line)
         self._body_hash.update((line + "\n").encode("utf-8"))
         self.records += 1
@@ -175,7 +148,7 @@ class TenantStream:
             "records": self.records,
             "body_sha256": self._body_hash.hexdigest(),
         }
-        append_text_line(self.path, _record_line(trailer))
+        append_text_line(self.path, record_line(trailer))
         self.finalized = True
 
 
@@ -193,7 +166,7 @@ def load_stream(
     trailer: Optional[dict] = None
     body_hash = hashlib.sha256()
     for index, line in enumerate(text.splitlines()):
-        body = _valid_record(line)
+        body = verified_record(line)
         if body is None:
             raise StreamFormatError(
                 path, f"line {index + 1}: invalid or tampered record"

@@ -21,8 +21,11 @@ import json
 import os
 import pickle
 import signal
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.parallel import SurveyWorkerError
 from repro.core.survey import (
@@ -42,6 +45,11 @@ from repro.faults import (
     VpChurn,
 )
 from repro.faults.campaign import load_checkpoint
+from repro.probing.artifacts import (
+    embed_checksum,
+    record_line,
+    verified_record,
+)
 from repro.scenarios.faults import FAULT_PRESETS, build_fault_plan
 from repro.scenarios.presets import get_preset
 from repro.sim.rate_limiter import TokenBucket
@@ -365,21 +373,140 @@ class TestCampaign:
     def test_checkpoint_corruption_is_civil(self, world, targets,
                                             tmp_path):
         ck = tmp_path / "ck.json"
-        ck.write_text("{\"version\": 1, \"trunc", "utf-8")
-        with pytest.raises(SurveyFormatError):
-            CampaignRunner(
-                world, checkpoint_path=ck
-            ).run(targets=targets, resume=True)
-        ck.write_text(json.dumps({"version": 99}), "utf-8")
-        with pytest.raises(SurveyFormatError) as err:
-            load_checkpoint(ck)
-        assert "version" in str(err.value)
+        runner = CampaignRunner(world, checkpoint_path=ck)
+        header = {
+            "version": 2,
+            "fingerprint": runner.fingerprint(targets, list(world.vps)),
+        }
+        entry = {
+            "completed": {
+                "nope": {"rows": [], "inprefix": [], "quality": {}}
+            },
+            "attempts": {"nope": 1},
+        }
+        for content, needle in [
+            ("{\"version\": 1, \"trunc", "header"),
+            (
+                json.dumps(embed_checksum(
+                    {"version": 1, "fingerprint": header["fingerprint"],
+                     "completed": {}, "attempts": {}}
+                )),
+                "version: 1",
+            ),
+            (record_line(dict(header, version=99)) + "\n", "version: 99"),
+            (
+                record_line(header) + "\n" + record_line(entry) + "\n",
+                "unknown VPs: nope",
+            ),
+        ]:
+            ck.write_text(content, "utf-8")
+            with pytest.raises(SurveyFormatError) as err:
+                runner.run(targets=targets, resume=True)
+            assert str(ck) in str(err.value) and needle in str(err.value)
+            # A refused resume leaves the file as it found it.
+            assert ck.read_text("utf-8") == content
 
     def test_validation(self, world):
         with pytest.raises(ValueError):
             CampaignRunner(world, max_retries=-1)
         with pytest.raises(ValueError):
             CampaignRunner(world, jobs=0)
+
+
+# ---------------------------------------------------------------------------
+# Randomised kill, tear and resume.
+# ---------------------------------------------------------------------------
+
+
+class TestKillTearResume:
+    """Kill after k of n VPs, optionally tear the log's last line or
+    corrupt an earlier entry line, then resume: the survey and sidecar
+    bytes equal the uninterrupted run's, the repair is counted exactly
+    when a line was dropped, and the log left behind verifies."""
+
+    N_VPS = 5
+    PLAN = FaultPlan(
+        seed=11, specs=FAULT_PRESETS["chaos"] + FAULT_PRESETS["misbehave"]
+    )
+
+    @pytest.fixture(scope="class")
+    def baseline(self, world):
+        vps = list(world.vps)[: self.N_VPS]
+        targets = list(world.hitlist)[:40]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = self._run(world, targets, vps, Path(tmp))
+        return targets, vps, out
+
+    def _run(self, world, targets, vps, tmp, resume=False, **kwargs):
+        result = CampaignRunner(
+            world, plan=self.PLAN, quarantine_path=tmp / "sidecar.json",
+            **kwargs,
+        ).run(targets=targets, vps=vps, resume=resume)
+        save_survey(result.survey, tmp / "survey.json")
+        return {
+            "result": result,
+            "survey": (tmp / "survey.json").read_bytes(),
+            "sidecar": (tmp / "sidecar.json").read_bytes(),
+        }
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kill=st.integers(1, N_VPS - 1),
+        tear=st.sampled_from(["none", "cut", "flip"]),
+        where=st.integers(0, 2**20),
+    )
+    @example(kill=3, tear="cut", where=8)  # CI's torn last line
+    @example(kill=2, tear="cut", where=0)  # only the newline is gone
+    @example(kill=3, tear="flip", where=0)  # corrupt first entry line
+    def test_random_kill_tear_resume(
+        self, world, baseline, kill, tear, where
+    ):
+        targets, vps, expect = baseline
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            ck = tmp / "ck.log"
+            with pytest.raises(CampaignInterrupted):
+                self._run(
+                    world, targets, vps, tmp,
+                    checkpoint_path=ck, kill_after_vps=kill,
+                )
+            log = ck.read_bytes()
+            lines = log.splitlines(keepends=True)
+            assert len(lines) == 1 + kill
+            survivors = kill
+            if tear == "cut":
+                # Cut inside the last line; cutting all of it leaves a
+                # clean log one entry shorter.
+                log = log[: -(1 + where % len(lines[-1]))]
+                survivors = kill - 1
+            elif tear == "flip":
+                # Flip a bit in entry line ``line``, newline excluded.
+                line = 1 + where % kill
+                offset = sum(map(len, lines[:line])) + (
+                    where // kill % (len(lines[line]) - 1)
+                )
+                log = (
+                    log[:offset] + bytes([log[offset] ^ 1])
+                    + log[offset + 1:]
+                )
+                survivors = line - 1
+            ck.write_bytes(log)
+            dropped = not log.endswith(b"\n") or tear == "flip"
+            out = self._run(
+                world, targets, vps, tmp, resume=True, checkpoint_path=ck
+            )
+            result = out["result"]
+            assert out["survey"] == expect["survey"]
+            assert out["sidecar"] == expect["sidecar"]
+            assert result.checkpoint_repairs == int(dropped)
+            assert result.resumed_vps == survivors
+            log = ck.read_bytes()
+            assert log.endswith(b"\n")
+            for line in log.splitlines():
+                assert verified_record(line) is not None
+            assert len(log.splitlines()) == 1 + len(
+                load_checkpoint(ck)["completed"]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +693,39 @@ class TestChaosCli:
         assert manifest["resumed_vps"] >= 2
         assert manifest["partial"] is False
         assert out.exists()
+
+    def test_bad_checkpoint_exits_2(self, tmp_path, capsys):
+        """``chaos`` and ``study`` report an unusable ``--resume``
+        checkpoint on stderr and exit 2, as ``serve`` does."""
+        from repro.cli import EXIT_INTERRUPTED, main
+
+        ck = tmp_path / "ck.json"
+        code = main([
+            "chaos", "--preset", "tiny", "--seed", "7", "--dests", "30",
+            "--checkpoint", str(ck), "--kill-after-vps", "2",
+        ])
+        assert code == EXIT_INTERRUPTED
+        torn = tmp_path / "torn.json"
+        torn.write_text("{\"version\": 1, \"tr", "utf-8")
+        for command, path, needle in [
+            ("chaos", ck, "fingerprint mismatch"),
+            ("chaos", torn, "header"),
+            ("study", ck, "fingerprint mismatch"),
+            ("study", torn, "header"),
+        ]:
+            capsys.readouterr()
+            args = [
+                command, "--preset", "tiny", "--seed", "7",
+                "--faults", "chaos", "--checkpoint", str(path), "--resume",
+            ]
+            if command == "chaos":
+                args += ["--dests", "40"]
+            else:
+                args += ["--experiment", "table1"]
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert f"{command}: {path}: " in err and needle in err
+            assert "Traceback" not in err
 
     def test_stats_faults_flag_populates_counters(self, capsys):
         from repro.cli import main

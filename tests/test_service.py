@@ -676,6 +676,29 @@ def test_checkpoint_rejects_tamper(tmp_path):
         fresh.restore()
 
 
+def test_checkpoint_errors_name_the_file(tmp_path):
+    daemon = MeasurementDaemon(
+        _scenario(), _config(tmp_path), registry=_registry()
+    )
+    daemon.submit(SPECS[0])
+    path = tmp_path / "service.ckpt"
+    text = path.read_text("utf-8")
+    body = json.loads(text)
+    body.pop("sha256")
+    del body["specs"][0]["spec"]
+    for content, needle in [
+        (text[:60], "invalid JSON"),  # truncated mid-write
+        (json.dumps(body), "malformed spec record 0: KeyError"),
+    ]:
+        path.write_text(content, "utf-8")
+        fresh = MeasurementDaemon(
+            _scenario(), _config(tmp_path), registry=_registry()
+        )
+        with pytest.raises(ValueError) as err:
+            fresh.restore()
+        assert str(path) in str(err.value) and needle in str(err.value)
+
+
 # -- status rendering (satellite: legacy tolerance) ------------------------
 
 

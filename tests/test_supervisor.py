@@ -9,8 +9,10 @@ The load-bearing properties pinned here:
 * a worker killed *mid-VP* contributes nothing — the retried attempt
   starts a fresh probe session, so recovered output is byte-identical
   to an unfaulted run;
-* checkpoints rotate generations and a corrupt newest file is
-  auto-repaired from ``<name>.1`` (and the repair is counted);
+* a campaign checkpoint is an append-only log — one checksummed line
+  per completed VP, appended to the same file — and a resume drops a
+  torn or corrupt tail (counting the repair) and still reproduces the
+  uninterrupted bytes;
 * every persisted artifact embeds a content checksum that is verified
   on load, and all writers share one atomic write-rename helper.
 """
@@ -41,11 +43,8 @@ from repro.faults import (
     VpHang,
     VpHealthTracker,
     WorkerWatchdog,
-    checkpoint_generation_path,
     load_checkpoint,
-    load_checkpoint_with_fallback,
 )
-from repro.faults.campaign import CheckpointWriter
 from repro.faults.supervisor import (
     InjectedHang,
     run_vp_attempt,
@@ -56,12 +55,14 @@ from repro.probing.artifacts import (
     atomic_write_text,
     checksum_of,
     embed_checksum,
+    record_line,
     split_checksum,
+    truncate_log,
+    verified_record,
     verify_embedded_checksum,
 )
 from repro.probing.prober import DEFAULT_PPS
 from repro.probing.scheduler import ProbeOrder
-from repro.probing.validation import empty_quality
 from repro.scenarios.faults import FAULT_PRESETS
 from repro.scenarios.presets import get_preset
 
@@ -96,27 +97,23 @@ def _survey_bytes(survey, tmp_path, name):
     return path.read_bytes()
 
 
-def _reference_checkpoint(fingerprint, completed, attempts):
-    """Checkpoint bytes as the whole-payload encoder writes them."""
-    payload = {
-        "version": 1,
-        "fingerprint": fingerprint,
-        "completed": {
-            name: {
-                "rows": [list(row) for row in rows],
-                "inprefix": [
-                    [dest_index, list(addrs)]
-                    for dest_index, addrs in inprefix
-                ],
-                "quality": quality,
-            }
-            for name, (rows, inprefix, quality) in completed.items()
-        },
-        "attempts": attempts,
-    }
-    return json.dumps(
-        embed_checksum(payload), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+def _log_lines(path):
+    """A checkpoint log's lines; asserts every one verifies and is
+    newline-terminated."""
+    data = path.read_bytes()
+    assert data.endswith(b"\n")
+    lines = data.splitlines()
+    for line in lines:
+        assert verified_record(line) is not None, line[:60]
+    return lines
+
+
+def _write_log(path, *records):
+    """A checkpoint log of checksummed lines, one per record."""
+    path.write_text(
+        "".join(record_line(record) + "\n" for record in records), "utf-8"
+    )
+    return path
 
 
 def _watchdog_payload(world, targets, vp_list, plan):
@@ -464,8 +461,13 @@ class TestSupervisedCampaign:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint generations, schema validation, auto-repair.
+# Append-only checkpoint log, schema validation, auto-repair.
 # ---------------------------------------------------------------------------
+
+
+_MISBEHAVING = FaultPlan(
+    seed=5, specs=FAULT_PRESETS["chaos"] + FAULT_PRESETS["misbehave"]
+)
 
 
 class TestCheckpointIntegrity:
@@ -475,103 +477,75 @@ class TestCheckpointIntegrity:
                 world, checkpoint_path=ck, kill_after_vps=3,
             ).run(targets=targets, vps=vp_list)
 
-    def test_generations_rotate(self, world, targets, vp_list, tmp_path):
-        ck = tmp_path / "camp.ckpt"
-        self._interrupted(world, targets, vp_list, ck)
-        previous = checkpoint_generation_path(ck)
-        assert previous == tmp_path / "camp.ckpt.1"
-        assert ck.exists() and previous.exists()
-        newest = load_checkpoint(ck)
-        older = load_checkpoint(previous)
-        assert len(newest["completed"]) == len(older["completed"]) + 1
-
-    def test_fragment_writer_matches_whole_payload_encoder(self, tmp_path):
-        """Each write's newest file and ``.1`` generation equal the
-        whole-payload encoding, as ``completed`` grows, ``attempts``
-        change, and an entry object is replaced."""
-        ck = tmp_path / "frag.ckpt"
-        generation = checkpoint_generation_path(ck)
-        writer = CheckpointWriter(ck, "0123456789abcdef")
-        completed, attempts = {}, {}
-        previous = None
-        names = ["mlab-nyc", "zeta", "mlab-lax", 'q"uote', "vp-\u00e9", "a"]
-        for step, name in enumerate(names):
-            quality = empty_quality()
-            quality["checked"] = step * 5
-            quality["reasons"] = {"spoofed_source": step, "duplicate": 1}
-            quality["quarantined"].append(
-                {"vp": name, "dest": 167772161 + step, "round": 0,
-                 "reason": "spoofed_source", "ratio": step / 7}
-            )
-            completed[name] = (
-                [(i, None if i % 3 else i % 9 + 1) for i in range(step * 5)],
-                [(i, (10 + i, 20 + i)) for i in range(step)],
-                quality,
-            )
-            attempts[name] = step + 1
-            attempts["dark-vp"] = step  # never completes
-            writer.write(completed, attempts)
-            expected = _reference_checkpoint(
-                "0123456789abcdef", completed, attempts
-            )
-            assert ck.read_bytes() == expected, name
-            load_checkpoint(ck)
-            if previous is not None:
-                assert generation.read_bytes() == previous, name
-                load_checkpoint(generation)
-            previous = expected
-        rows, inprefix, quality = completed["zeta"]
-        completed["zeta"] = (rows[:1], inprefix, quality)
-        writer.write(completed, attempts)
-        assert ck.read_bytes() == _reference_checkpoint(
-            "0123456789abcdef", completed, attempts
-        )
-
-    def test_resumed_run_checkpoints_match_whole_payload_encoder(
+    def test_appends_not_rewrites(
         self, world, targets, vp_list, tmp_path, monkeypatch
     ):
-        """Every write of a killed run and of its resumption — whose
-        first write re-encodes the entries it loaded — matches the
-        whole-payload encoding, newest file and ``.1`` both."""
+        """Every completed VP appends one canonical checksummed line to
+        the same file: the previous bytes stay, the inode stays, and no
+        ``.1`` sibling ever appears."""
+        import repro.faults.campaign as campaign_mod
+
         ck = tmp_path / "camp.ckpt"
-        generation = checkpoint_generation_path(ck)
-        plan = FaultPlan(
-            seed=5,
-            specs=FAULT_PRESETS["chaos"] + FAULT_PRESETS["misbehave"],
-        )
-        writes = []
-        real_write = CheckpointWriter.write
+        real_append = campaign_mod.append_text_line
+        inodes = []
 
-        def spy(writer, completed, attempts):
-            real_write(writer, completed, attempts)
-            load_checkpoint(ck)
-            if generation.exists():
-                load_checkpoint(generation)
-            writes.append((
-                len(completed),
-                ck.read_bytes(),
-                generation.read_bytes() if generation.exists() else None,
-                _reference_checkpoint(fingerprint, completed, attempts),
-            ))
+        def spy(path, line):
+            before = ck.read_bytes()
+            inodes.append(ck.stat().st_ino)
+            real_append(path, line)
+            assert ck.read_bytes() == before + line.encode() + b"\n"
+            assert ck.stat().st_ino == inodes[-1]
+            assert [p.name for p in tmp_path.iterdir()] == [ck.name]
 
-        monkeypatch.setattr(CheckpointWriter, "write", spy)
-        runner = CampaignRunner(
-            world, plan=plan, checkpoint_path=ck, kill_after_vps=3
+        monkeypatch.setattr(campaign_mod, "append_text_line", spy)
+        result = CampaignRunner(
+            world, plan=_MISBEHAVING, checkpoint_path=ck
+        ).run(targets=targets, vps=vp_list)
+        assert result.retry_rounds >= 1  # attempts change between lines
+        completed = len(vp_list) - len(result.failed_vps)
+        assert len(inodes) == completed
+        assert set(inodes) == {ck.stat().st_ino}
+        lines = _log_lines(ck)
+        assert len(lines) == 1 + completed
+        for line in lines:
+            assert line.decode() == record_line(verified_record(line))
+        data = load_checkpoint(ck)
+        assert data["fingerprint"] == CampaignRunner(
+            world, plan=_MISBEHAVING
+        ).fingerprint(targets, vp_list)
+        assert set(data["completed"]) == (
+            {vp.name for vp in vp_list} - set(result.failed_vps)
         )
-        fingerprint = runner.fingerprint(targets, vp_list)
+
+    def test_resumed_run_appends_to_killed_log(
+        self, world, targets, vp_list, tmp_path
+    ):
+        """A clean resume appends to the killed run's log in place; the
+        folded log equals an uninterrupted run's."""
+        full = tmp_path / "full.ckpt"
+        CampaignRunner(world, plan=_MISBEHAVING, checkpoint_path=full).run(
+            targets=targets, vps=vp_list
+        )
+        ck = tmp_path / "camp.ckpt"
         with pytest.raises(CampaignInterrupted):
-            runner.run(targets=targets, vps=vp_list)
-        killed_writes = len(writes)
-        resumed = CampaignRunner(world, plan=plan, checkpoint_path=ck).run(
-            targets=targets, vps=vp_list, resume=True
-        )
+            CampaignRunner(
+                world, plan=_MISBEHAVING, checkpoint_path=ck,
+                kill_after_vps=3,
+            ).run(targets=targets, vps=vp_list)
+        killed, inode = ck.read_bytes(), ck.stat().st_ino
+        assert len(_log_lines(ck)) == 1 + 3
+        resumed = CampaignRunner(
+            world, plan=_MISBEHAVING, checkpoint_path=ck
+        ).run(targets=targets, vps=vp_list, resume=True)
         assert resumed.resumed_vps == 3
-        assert writes[killed_writes][0] == 4  # 3 loaded + 1 new entry
-        previous = None
-        for count, newest, older, expected in writes:
-            assert newest == expected, count
-            assert older == previous, count
-            previous = expected
+        assert resumed.checkpoint_repairs == 0
+        assert ck.read_bytes().startswith(killed)
+        assert ck.stat().st_ino == inode
+        _log_lines(ck)
+        assert (
+            load_checkpoint(ck)["completed"]
+            == load_checkpoint(full)["completed"]
+        )
 
     def test_corrupt_newest_auto_repaired(
         self, world, targets, vp_list, tmp_path
@@ -587,7 +561,7 @@ class TestCheckpointIntegrity:
         )
         ck = tmp_path / "camp.ckpt"
         self._interrupted(world, targets, vp_list, ck)
-        ck.write_bytes(ck.read_bytes()[:40])  # torn write at rest
+        ck.write_bytes(ck.read_bytes()[:-9])  # torn final line
         repairs = checkpoint_repair_counter(REGISTRY).labels(
             world.network.net_id
         )
@@ -597,50 +571,85 @@ class TestCheckpointIntegrity:
         ).run(targets=targets, vps=vp_list, resume=True)
         assert resumed.checkpoint_repairs == 1
         assert repairs.value == before + 1
-        assert resumed.resumed_vps >= 2  # generation N-1 state
+        assert resumed.resumed_vps == 2  # the torn third line is gone
         assert not resumed.partial
         assert _survey_bytes(
             resumed.survey, tmp_path, "repaired.json"
         ) == baseline
-        # The newest generation was re-materialised (and is valid).
-        load_checkpoint(ck)
-
-    def test_fallback_loader_semantics(self, tmp_path):
-        good = {
-            "version": 1,
-            "fingerprint": "f" * 16,
-            "completed": {},
-            "attempts": {},
+        # The torn line was cut off before the first append.
+        assert len(_log_lines(ck)) == 1 + len(vp_list)
+        assert set(load_checkpoint(ck)["completed"]) == {
+            vp.name for vp in vp_list
         }
-        ck = tmp_path / "x.ckpt"
-        atomic_write_text(ck, json.dumps(embed_checksum(good)))
-        data, repaired = load_checkpoint_with_fallback(ck)
-        assert not repaired and data["fingerprint"] == "f" * 16
-        # Corrupt newest + good previous generation -> repaired.
-        previous = checkpoint_generation_path(ck)
-        atomic_write_text(previous, json.dumps(embed_checksum(good)))
-        ck.write_text("{\"version\": 1, \"trunc", "utf-8")
-        data, repaired = load_checkpoint_with_fallback(ck)
-        assert repaired
-        # Both generations bad -> the *newest* error propagates.
-        previous.write_text("also garbage", "utf-8")
-        with pytest.raises(SurveyFormatError) as err:
-            load_checkpoint_with_fallback(ck)
-        assert str(ck) in str(err.value)
+
+    def test_prefix_loader_semantics(self, tmp_path):
+        header = {"version": 2, "fingerprint": "f" * 16}
+        entries = [
+            {
+                "completed": {
+                    name: {"rows": [[0, 3]], "inprefix": [], "quality": {}}
+                },
+                "attempts": attempts,
+            }
+            for name, attempts in (
+                ("a", {"a": 1}),
+                ("b", {"a": 1, "b": 2, "c": 1}),
+            )
+        ]
+        ck = _write_log(tmp_path / "x.ckpt", header, *entries)
+        good = ck.read_bytes()
+        data = load_checkpoint(ck)
+        assert data["fingerprint"] == "f" * 16
+        assert set(data["completed"]) == {"a", "b"}
+        assert data["attempts"] == {"a": 1, "b": 2, "c": 1}
+        assert data["lines"] == good.splitlines()
+        assert not truncate_log(ck, data["lines"])
+        # A torn tail, or a whole last line missing its newline, is
+        # not part of the log; cutting it keeps the inode.
+        for tail in (b'{"completed":{"c"', record_line(entries[0]).encode()):
+            ck.write_bytes(good + tail)
+            inode = ck.stat().st_ino
+            data = load_checkpoint(ck)
+            assert data["lines"] == good.splitlines()
+            assert truncate_log(ck, data["lines"])
+            assert ck.read_bytes() == good and ck.stat().st_ino == inode
+        # A corrupt line ends the log there, even before good lines.
+        corrupt = bytearray(good)
+        corrupt[good.index(b"\n") + 5] ^= 0x01
+        ck.write_bytes(bytes(corrupt))
+        data = load_checkpoint(ck)
+        assert data["completed"] == {} and data["attempts"] == {}
+        assert len(data["lines"]) == 1
+        # An unreadable header is an error, good lines after it or not.
+        for broken in (b"", b"garbage\n" + good):
+            ck.write_bytes(broken)
+            with pytest.raises(SurveyFormatError) as err:
+                load_checkpoint(ck)
+            assert str(ck) in str(err.value) and "header" in str(err.value)
 
     def test_schema_validation(self, tmp_path):
         def write(record, name="s.ckpt"):
-            path = tmp_path / name
-            path.write_text(json.dumps(record), "utf-8")
-            return path
+            header = {
+                key: record[key]
+                for key in ("version", "fingerprint")
+                if key in record
+            }
+            entry = {
+                key: record[key]
+                for key in ("completed", "attempts")
+                if key in record
+            }
+            return _write_log(tmp_path / name, header, entry)
 
         valid = {
-            "version": 1,
+            "version": 2,
             "fingerprint": "ab",
-            "completed": {"vp": {"rows": [], "inprefix": []}},
+            "completed": {
+                "vp": {"rows": [], "inprefix": [], "quality": {}}
+            },
             "attempts": {"vp": 1},
         }
-        load_checkpoint(write(valid))  # sanity: legacy, no checksum
+        load_checkpoint(write(valid))  # sanity
         for mutate, needle in [
             (lambda d: d.pop("fingerprint"), "fingerprint"),
             (lambda d: d.pop("attempts"), "attempts"),
