@@ -1166,6 +1166,21 @@ def _render_stats_table(snapshot: dict) -> str:
                 f"mean={mean:.3f}s"
             )
 
+    collections = _sum_series(
+        snapshot, "gc_collections_total", by="generation"
+    )
+    if collections:
+        pauses = _sum_series(
+            snapshot, "gc_pause_seconds_total", by="generation"
+        )
+        lines.append("collector (during task bodies, summed per process)")
+        for generation in sorted(collections):
+            lines.append(
+                f"  {'gen' + generation:<16} "
+                f"runs={collections[generation]:<6} "
+                f"total={pauses.get(generation, 0.0):.3f}s"
+            )
+
     cache = _sum_series(snapshot, "study_cache_lookups_total", by="result")
     if cache:
         lines.append("study cache")

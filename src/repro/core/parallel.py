@@ -54,11 +54,26 @@ ships home its result plus a pruned metrics-registry snapshot, its
 span buffer and the per-AS options-load delta; the parent folds them
 in key order, so totals never depend on completion order. A killed
 attempt ships nothing.
+
+Collector discipline: right before every task body the executor calls
+``gc.freeze()``, wherever the body runs. Everything older than the task
+— the scenario, its routing trees and stamp plans, earlier tasks'
+results and, in a worker, the heap inherited at fork — moves to the
+permanent generation, so collections during the task walk only what
+the task allocated. Frozen objects that fall out of use are still
+freed by reference counting; only cyclic garbage would wait, and the
+dataplane makes none (``tests/test_collector.py``). :meth:`close`
+unfreezes what an in-process executor froze; workers exit at close.
+While bodies run, one ``gc.callbacks`` hook counts collections and
+their pauses into ``gc_collections_total{generation}`` and
+``gc_pause_seconds_total{generation}`` — per-process measurements,
+summed home from workers like every other counter.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import multiprocessing
 import time
 from collections import deque
@@ -177,6 +192,54 @@ def heartbeat_age_histogram(registry: MetricsRegistry) -> HistogramFamily:
 
 
 # ---------------------------------------------------------------------------
+# Collector telemetry (every mode; see "Collector discipline" above).
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _collector_telemetry(registry: MetricsRegistry) -> Iterator[None]:
+    """Count every collection in the ``with`` body into
+    ``gc_collections_total{generation}`` and its pause into
+    ``gc_pause_seconds_total{generation}``.
+
+    The hook can fire inside any allocation, a registry snapshot's
+    iteration included, so its series are bound up front and it only
+    ever adds to them.
+    """
+    collections = registry.counter(
+        "gc_collections_total",
+        "Cyclic-collector runs while executor task bodies ran.",
+        ("generation",),
+    )
+    pauses = registry.counter(
+        "gc_pause_seconds_total",
+        "Wall seconds of cyclic-collector runs while executor task "
+        "bodies ran.",
+        ("generation",),
+    )
+    series = [
+        (collections.labels(str(gen)), pauses.labels(str(gen)))
+        for gen in range(3)
+    ]
+    started = 0.0
+
+    def hook(phase: str, info: dict) -> None:
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+            return
+        count, pause = series[info["generation"]]
+        count.inc()
+        pause.inc(time.perf_counter() - started)
+
+    gc.callbacks.append(hook)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(hook)
+
+
+# ---------------------------------------------------------------------------
 # Worker side.
 #
 # ``_PARENT_SCENARIO`` is the fork-inheritance handoff: the parent sets
@@ -224,6 +287,12 @@ def _describe(exc: BaseException) -> str:
 
 
 def _worker_main(payload, setup, conn, heartbeat_value) -> None:
+    """A pool worker's whole life, with its collections counted."""
+    with _collector_telemetry(REGISTRY):
+        _worker_serve(payload, setup, conn, heartbeat_value)
+
+
+def _worker_serve(payload, setup, conn, heartbeat_value) -> None:
     """Long-lived worker loop: recv task, run the body, send result.
 
     ``heartbeat_value`` is the supervised pool's shared slot (``None``
@@ -303,6 +372,7 @@ def _worker_main(payload, setup, conn, heartbeat_value) -> None:
 
         error: Optional[str] = None
         result = None
+        gc.freeze()
         try:
             result = body(state, task, task_beat)
         except Exception as exc:  # noqa: BLE001 — shipped to the parent
@@ -414,6 +484,9 @@ class WorkerWatchdog:
         #: Optional per-poll observer ``callback(watchdog)`` of the
         #: supervised pool — the campaign's live status publisher.
         self.on_poll: Optional[Callable[["WorkerWatchdog"], None]] = None
+        #: Whether an in-process body ran since the last :meth:`close`,
+        #: so this executor froze the parent's heap.
+        self._frozen = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -458,7 +531,8 @@ class WorkerWatchdog:
         return fresh
 
     def close(self) -> None:
-        """Orderly shutdown: ask politely, then terminate stragglers."""
+        """Orderly shutdown: ask politely, then terminate stragglers;
+        unfreeze what in-process bodies froze."""
         for handle in self._workers:
             try:
                 handle.conn.send(None)
@@ -468,6 +542,9 @@ class WorkerWatchdog:
             handle.process.join(timeout=2.0)
             self._kill_worker(handle)
         self._workers = []
+        if self._frozen:
+            gc.unfreeze()
+            self._frozen = False
 
     def __enter__(self) -> "WorkerWatchdog":
         return self
@@ -532,12 +609,15 @@ class WorkerWatchdog:
         outcomes: Outcomes = {}
         state = dict(self.payload, scenario=self.scenario)
         body = self.payload["task_body"]
-        for task in tasks:
-            try:
-                outcomes[task[0]] = (body(state, task, None), "ok", None)
-            except Exception as exc:  # noqa: BLE001 — reported
-                self.exceptions[task[0]] = exc
-                outcomes[task[0]] = (None, "failed", _describe(exc))
+        with _collector_telemetry(self._registry):
+            for task in tasks:
+                gc.freeze()
+                self._frozen = True
+                try:
+                    outcomes[task[0]] = (body(state, task, None), "ok", None)
+                except Exception as exc:  # noqa: BLE001 — reported
+                    self.exceptions[task[0]] = exc
+                    outcomes[task[0]] = (None, "failed", _describe(exc))
         return outcomes
 
     def _run_pooled(self, tasks: List[tuple]) -> Outcomes:

@@ -74,6 +74,11 @@ class RoutingSystem:
         #: thousands of times; snapshotting once per graph generation
         #: (dropped by ``clear_cache``) removes that from the loop.
         self._adj: Optional[Dict[int, tuple]] = None
+        #: Intern table: one shared ``RouteInfo`` per distinct value
+        #: across every cached tree (a ``mid`` survey's 714k routes
+        #: hold 1,753 values). Dropped with the trees by
+        #: ``clear_cache``.
+        self._routes: Dict[tuple, RouteInfo] = {}
 
     @property
     def graph(self) -> ASGraph:
@@ -120,15 +125,24 @@ class RoutingSystem:
         if dest not in self._graph:
             raise KeyError(f"unknown destination ASN {dest}")
         adj = self._adjacency()
-        # ~n RouteInfo allocations per tree and a few comparisons per
-        # edge make this the scenario-wide routing hot spot; building
-        # the (still genuine) RouteInfo tuples via ``tuple.__new__``
-        # skips the generated-constructor frame, and field access in
-        # the loops uses indices instead of the namedtuple properties.
+        # ~n routes per tree and a few comparisons per edge make this
+        # the scenario-wide routing hot spot. Every route is interned:
+        # a tuple *subclass* stays GC-tracked, so a survey's trees
+        # would otherwise hold one tracked object per (tree, AS). New
+        # values are built via ``tuple.__new__`` (skipping the
+        # generated-constructor frame), and field access in the loops
+        # uses indices instead of the namedtuple properties.
+        table = self._routes
+        table_get = table.get
         mk = tuple.__new__
-        routes: Dict[int, RouteInfo] = {
-            dest: mk(RouteInfo, (KIND_CUSTOMER, 0, None))
-        }
+
+        def route(key: tuple) -> RouteInfo:
+            info = table_get(key)
+            if info is None:
+                info = table[key] = mk(RouteInfo, key)
+            return info
+
+        routes: Dict[int, RouteInfo] = {dest: route((KIND_CUSTOMER, 0, None))}
 
         # Phase 1 — customer routes: the destination's reachability climbs
         # provider links, so every AS on an all-uphill path learns a
@@ -147,9 +161,7 @@ class RoutingSystem:
                     if best is None or asn < best:
                         candidates[provider] = asn
             for provider, via in candidates.items():
-                routes[provider] = mk(
-                    RouteInfo, (KIND_CUSTOMER, length, via)
-                )
+                routes[provider] = route((KIND_CUSTOMER, length, via))
             frontier = sorted(candidates)
 
         # Phase 2 — peer routes: one sideways hop from any AS holding a
@@ -167,9 +179,7 @@ class RoutingSystem:
                 if best is None or length < best[1] or (
                     length == best[1] and asn < best[2]
                 ):
-                    peer_routes[peer] = mk(
-                        RouteInfo, (KIND_PEER, length, asn)
-                    )
+                    peer_routes[peer] = route((KIND_PEER, length, asn))
         routes.update(peer_routes)
 
         # Phase 3 — provider routes: every routed AS exports its selected
@@ -209,9 +219,7 @@ class RoutingSystem:
                             or (best[1] == nxt and best[2] <= asn)
                         ):
                             continue
-                        routes[customer] = mk(
-                            RouteInfo, (KIND_PROVIDER, nxt, asn)
-                        )
+                        routes[customer] = route((KIND_PROVIDER, nxt, asn))
                         buckets.setdefault(nxt, []).append(customer)
             length = nxt
         return routes
@@ -255,6 +263,8 @@ class RoutingSystem:
         return None if info is None else info.length
 
     def clear_cache(self) -> None:
-        """Drop every cached routing tree (call after graph mutation)."""
+        """Drop every cached routing tree and its interned routes
+        (call after graph mutation)."""
         self._trees.clear()
+        self._routes.clear()
         self._adj = None

@@ -9,7 +9,7 @@ substrate offers the rest of the system.
 from hypothesis import given, settings, strategies as st
 
 from repro.topology.autsys import ASGraph, ASType, AutonomousSystem, Tier
-from repro.topology.routing import RouteKind, RoutingSystem
+from repro.topology.routing import RouteInfo, RouteKind, RoutingSystem
 
 
 @st.composite
@@ -153,3 +153,36 @@ class TestValleyFreeProperties:
                 else:
                     assert path is not None
                     assert len(path) - 1 == info.length
+
+
+class TestInternedRoutes:
+    """Every tree of one system shares one ``RouteInfo`` per value."""
+
+    @staticmethod
+    def _all_routes(routing, graph):
+        return [
+            info
+            for dest in graph.asns()
+            for info in routing.routing_tree(dest).values()
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(as_graphs())
+    def test_equal_routes_are_one_object(self, graph):
+        routing = RoutingSystem(graph)
+        routes = self._all_routes(routing, graph)
+        assert len({id(info) for info in routes}) == len(set(routes))
+        for info in routes:
+            assert type(info) is RouteInfo
+            assert (info.kind, info.length, info.next_hop) == tuple(info)
+
+    @settings(max_examples=20, deadline=None)
+    @given(as_graphs())
+    def test_clear_cache_empties_the_table(self, graph):
+        routing = RoutingSystem(graph)
+        before = self._all_routes(routing, graph)
+        routing.clear_cache()
+        assert routing.cache_len == 0 and not routing._routes
+        after = self._all_routes(routing, graph)
+        assert after == before
+        assert not {id(info) for info in after} & {id(info) for info in before}
