@@ -239,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume from --checkpoint instead of starting fresh",
     )
-    study.add_argument(
-        "--no-batch", action="store_true",
-        help="force the legacy per-hop walk instead of the batched "
-             "stamp-plan dataplane (results are byte-identical; this "
-             "is a benchmarking/debugging switch)",
-    )
 
     chaos = sub.add_parser(
         "chaos",
@@ -262,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plan seed (default: derived from the scenario seed)",
     )
     chaos.add_argument("--jobs", type=_jobs, default=1)
-    chaos.add_argument(
-        "--no-batch", action="store_true",
-        help="force the legacy per-hop walk (byte-identical results)",
-    )
     chaos.add_argument("--max-retries", type=int, default=3)
     chaos.add_argument(
         "--budget", type=float, default=None,
@@ -459,11 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
              "fault-injection and campaign counters are populated",
     )
     stats.add_argument(
-        "--no-batch", action="store_true",
-        help="force the legacy per-hop walk instead of the batched "
-             "stamp-plan dataplane (results are byte-identical)",
-    )
-    stats.add_argument(
         "--dataplane", action="store_true",
         help="append the batched-dataplane section (stamp-plan cache "
              "hits/misses/evictions, compiles, invalidations, replays, "
@@ -500,10 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=2016)
     serve.add_argument("--jobs", type=_jobs, default=1)
-    serve.add_argument(
-        "--no-batch", action="store_true",
-        help="force the legacy per-hop walk (byte-identical results)",
-    )
     serve.add_argument(
         "--spec", action="append", default=[], type=Path,
         metavar="FILE",
@@ -642,7 +623,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 max_retries=getattr(args, "max_retries", 3),
                 checkpoint_path=checkpoint,
                 resume=getattr(args, "resume", False),
-                batch=not getattr(args, "no_batch", False),
             )
         except SurveyFormatError as exc:
             print(f"study: {exc}", file=sys.stderr)
@@ -658,7 +638,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
             args.preset,
             seed=args.seed,
             jobs=getattr(args, "jobs", 1),
-            batch=not getattr(args, "no_batch", False),
         )
     names = (
         sorted(EXPERIMENTS)
@@ -682,7 +661,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.supervisor import SupervisionConfig
 
     scenario = get_preset(args.preset, seed=args.seed)
-    scenario.prober.batching = not getattr(args, "no_batch", False)
     plan = build_fault_plan(
         args.faults, scenario_seed=args.seed, seed=args.fault_seed
     )
@@ -1063,7 +1041,6 @@ def _run_service_demo(args: argparse.Namespace) -> None:
     from repro.service.daemon import MeasurementDaemon, ServiceConfig
 
     scenario = get_preset(args.preset, seed=args.seed)
-    scenario.prober.batching = not getattr(args, "no_batch", False)
     quota, overrides = demo_quota()
     with tempfile.TemporaryDirectory(prefix="repro-service-") as tmp:
         daemon = MeasurementDaemon(
@@ -1238,14 +1215,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             plan=plan,
             jobs=getattr(args, "jobs", 1),
             supervision=supervision,
-            batch=not getattr(args, "no_batch", False),
         )
     else:
         get_study(
             args.preset,
             seed=args.seed,
             jobs=getattr(args, "jobs", 1),
-            batch=not getattr(args, "no_batch", False),
         )
     snapshot = REGISTRY.snapshot()
     if args.stats_format == "prom":
@@ -1374,7 +1349,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     scenario = get_preset(args.preset, seed=args.seed)
-    scenario.prober.batching = not getattr(args, "no_batch", False)
     quota = _quota_from_args(args)
     overrides: dict = {}
     records = []

@@ -48,9 +48,10 @@ Pool plumbing: under the default ``fork`` start method workers inherit
 the parent's scenario copy-on-write (zero rebuild cost); under
 ``spawn`` each worker rebuilds it from its
 :class:`~repro.scenarios.internet.ScenarioParams` (bit-identical by
-construction). Workers follow the parent's span-tracing and
-batched-dataplane settings, read when the executor is built. Each task
-ships home its result plus a pruned metrics-registry snapshot, its
+construction). Workers follow the parent's span-tracing setting, read
+when the executor is built. ``Prober.batching`` is not shipped: it is
+the walk-as-reference switch the parity tests flip at ``jobs=1``. Each
+task ships home its result plus a pruned metrics-registry snapshot, its
 span buffer and the per-AS options-load delta; the parent folds them
 in key order, so totals never depend on completion order. A killed
 attempt ships nothing.
@@ -311,12 +312,11 @@ def _worker_serve(payload, setup, conn, heartbeat_value) -> None:
     this process, the parent already holds its final recorded moments
     for the quarantine manifest.
     """
-    params, spans, batch = setup
+    params, spans = setup
     scenario = _PARENT_SCENARIO
     if scenario is None:
         scenario = build_scenario(params)
     TRACER.configure(spans)
-    scenario.prober.batching = batch
     state = dict(payload, scenario=scenario)
     body = payload["task_body"]
     recorder = None if heartbeat_value is None else FlightRecorder()
@@ -453,10 +453,8 @@ class WorkerWatchdog:
         registry = REGISTRY if registry is None else registry
         self._registry = registry
         #: Worker setup the executor owns: how to rebuild the scenario
-        #: (spawn) and the parent's tracing and dataplane switches.
-        self._setup = (
-            scenario.params, TRACER.enabled, scenario.prober.batching
-        )
+        #: (spawn) and the parent's span-tracing switch.
+        self._setup = (scenario.params, TRACER.enabled)
         if config is not None:
             net_id = scenario.network.net_id
             self._hangs = supervisor_hang_counter(registry).labels(net_id)

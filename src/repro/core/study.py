@@ -57,19 +57,14 @@ class StudyData:
         return self.scenario.name
 
 
-def run_full_study(
-    scenario: Scenario, jobs: int = 1, batch: bool = True
-) -> StudyData:
+def run_full_study(scenario: Scenario, jobs: int = 1) -> StudyData:
     """Run both §3.1 studies against a scenario.
 
     ``jobs`` is forwarded to the survey engine: ``jobs >= 2`` fans the
     campaigns out across the executor's worker pool (see
     :mod:`repro.core.parallel`); the RR survey's persisted JSON is
-    byte-identical for any value. ``batch=False`` forces the legacy
-    per-hop walk (the batched dataplane is byte-identical, so this is
-    a benchmarking/debugging switch, not a results switch).
+    byte-identical for any value.
     """
-    scenario.prober.batching = batch
     with timed("full_study"):
         ping_survey = run_ping_survey(scenario, jobs=jobs)
         rr_survey = run_rr_survey(scenario, jobs=jobs)
@@ -88,7 +83,6 @@ def run_resilient_study(
     resume: bool = False,
     kill_after_vps=None,
     supervision=None,
-    batch: bool = True,
 ):
     """Run both §3.1 studies with the fault-tolerant campaign driver.
 
@@ -103,7 +97,6 @@ def run_resilient_study(
     """
     from repro.faults.campaign import CampaignRunner
 
-    scenario.prober.batching = batch
     runner = CampaignRunner(
         scenario,
         plan=plan,
@@ -133,15 +126,13 @@ def get_study(
     seed: int = 2016,
     factory: Optional[Callable[[], Scenario]] = None,
     jobs: int = 1,
-    batch: bool = True,
 ) -> StudyData:
     """Memoised full study for a preset scenario.
 
     ``factory`` overrides preset lookup (still cached under
     ``(preset, seed)``) for callers with custom scenarios. ``jobs``
-    sets survey fan-out on a cache miss; like ``batch`` (the batched
-    dataplane switch) it is not part of the cache key because the RR
-    campaign's results are invariant under both.
+    sets survey fan-out on a cache miss; it is not part of the cache
+    key because the RR campaign's results are invariant under it.
     """
     key = (preset, seed)
     cached = _CACHE.get(key)
@@ -150,7 +141,7 @@ def get_study(
         scenario = factory() if factory is not None else get_preset(
             preset, seed
         )
-        cached = run_full_study(scenario, jobs=jobs, batch=batch)
+        cached = run_full_study(scenario, jobs=jobs)
         _CACHE[key] = cached
         _CACHE_SIZE.set(len(_CACHE))
     else:

@@ -419,7 +419,6 @@ def probe_vp_rr(
     pps: float = DEFAULT_PPS,
     heartbeat: Optional[Callable[[], None]] = None,
     validate: bool = True,
-    rr_invalid_retries: int = RR_INVALID_RETRIES,
 ) -> VPRows:
     """One vantage point's complete ping-RR probe sequence.
 
@@ -441,7 +440,7 @@ def probe_vp_rr(
     walk (never per dispatch chunk, so span-tracing's batch size
     cannot leak into verdicts). Invalid replies are quarantined into
     the returned quality block instead of the rows, re-probed up to
-    ``rr_invalid_retries`` times (non-sticky misbehavior can recover),
+    :data:`RR_INVALID_RETRIES` times (non-sticky misbehavior can recover),
     and finally degraded to a plain ping with a recorded reason — the
     paper's framing that RR is *an* option, not the only one. On a
     clean network validation finds nothing, so rows and in-prefix
@@ -505,7 +504,7 @@ def probe_vp_rr(
                     # destinations, in probe order. A non-sticky
                     # misbehavior re-rolls per round, so a retry can
                     # come back clean and reclaim its row.
-                    for round_no in range(1, max(rr_invalid_retries, 0) + 1):
+                    for round_no in range(1, RR_INVALID_RETRIES + 1):
                         if not invalid:
                             break
                         retry = scenario.prober.probe_batch_rows(
@@ -545,7 +544,7 @@ def probe_vp_rr(
                             "dest": dest.addr,
                             "dest_index": position[dest.addr],
                             "reason": reason,
-                            "rounds": max(rr_invalid_retries, 0) + 1,
+                            "rounds": RR_INVALID_RETRIES + 1,
                             "ping_responded": result.responded,
                         })
                         degraded_family.labels(

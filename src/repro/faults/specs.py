@@ -591,15 +591,6 @@ class FaultPlan:
             isinstance(spec, _MisbehaviorSpec) for spec in self.specs
         )
 
-    def zombie_profile(self, vp_name: str) -> Optional[ZombieVp]:
-        """The first zombie spec afflicting ``vp_name`` (or None)."""
-        for index, spec in enumerate(self.specs):
-            if isinstance(spec, ZombieVp) and spec.vp_applies(
-                self.spec_seed(index), vp_name
-            ):
-                return spec
-        return None
-
     # -- identity ---------------------------------------------------------
 
     def fingerprint(self) -> str:

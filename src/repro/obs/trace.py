@@ -19,6 +19,15 @@ structured :class:`TraceEvent` per interesting dataplane moment —
 into a bounded ring buffer, renderable as a human-readable hop trace
 (``python -m repro probe ... --trace``).
 
+The events come from the hop-by-hop walk (``Network._walk``), so a
+tracer records the probes that walk: ``repro probe --trace``, the
+per-probe :class:`~repro.probing.prober.Prober` methods, and the
+walked fallbacks of a batch (see ``Prober._resolve_targets``).
+Attaching one never changes which path runs. A probe replayed from a
+compiled stamp plan records no hops; only ``Network._lost`` still
+emits its ``drop`` event, and that event carries the batch's start
+time, because replay keeps the sim clock in a local variable.
+
 Tracing is strictly opt-in: when no tracer is attached the dataplane
 pays a single ``is None`` check per guard point and allocates nothing.
 """
@@ -102,9 +111,10 @@ class PacketTracer:
     """A bounded ring buffer of :class:`TraceEvent` records.
 
     Attach with :meth:`repro.sim.network.Network.attach_tracer`; the
-    dataplane then calls :meth:`emit` at each guard point. The ring
-    keeps the most recent ``capacity`` events; ``dropped_events``
-    counts what truncation discarded.
+    hop-by-hop walk then calls :meth:`emit` at each guard point, and
+    replayed probes emit nothing but loss ``drop`` events (see the
+    module docstring). The ring keeps the most recent ``capacity``
+    events; ``dropped_events`` counts what truncation discarded.
     """
 
     def __init__(

@@ -83,10 +83,10 @@ _FILTERED_OUTCOME = Outcome()
 def _outcome_from_result(result: RRPingResult) -> Outcome:
     """Adapt a legacy :class:`RRPingResult` to the batch row shape.
 
-    The per-destination fallback path (non-hitlist address, per-hop
-    tracer attached) still probes through the legacy walk; this wraps
-    its result so survey code consumes one shape. Counters were already
-    incremented inline by the legacy path, so the outcome carries none.
+    A probe :meth:`Prober._resolve_targets` pairs with ``None`` walks
+    hop-by-hop; this wraps its result so survey code consumes one
+    shape. Counters were already incremented inline by the walk, so
+    the outcome carries none.
     """
     inprefix: List[int] = []
     seen = set()
@@ -151,10 +151,11 @@ class Prober:
             raise ValueError(f"pps must be positive: {default_pps}")
         self.network = network
         self.default_pps = default_pps
-        #: Batched dataplane switch: when True (default), the batch
-        #: APIs replay compiled stamp plans instead of walking packets
-        #: hop-by-hop. Byte-identical output either way — flip off to
-        #: benchmark the legacy walk or to bisect a parity suspicion.
+        #: The walk-as-reference switch, read only by
+        #: :meth:`_resolve_targets`: off, every batch probe walks
+        #: hop-by-hop instead of replaying a compiled stamp plan. The
+        #: bytes are identical either way; the parity tests and the
+        #: survey-scale benchmark's legacy leg flip it, in-process.
         self.batching = True
         self._ident = 0
         self._seq = 0
@@ -518,15 +519,6 @@ class Prober:
 
     # -- batched dataplane -------------------------------------------------
 
-    def _can_batch(self) -> bool:
-        """Whole-batch gate for the stamp-plan replay engine.
-
-        A per-hop packet tracer needs the real walk (plans have no
-        hops to emit), so its presence routes the batch through the
-        legacy path wholesale — as does flipping ``batching`` off.
-        """
-        return self.batching and self.network.tracer is None
-
     def _batch_rr(
         self,
         vp: VantagePoint,
@@ -538,13 +530,13 @@ class Prober:
     ) -> List[Outcome]:
         """Replay one VP's ping-RR sequence through compiled plans.
 
-        ``targets`` pairs each probed address with its hitlist
-        ``Destination`` (``None`` sends that one probe down the legacy
-        walk — addresses outside the hitlist can be routers or voids,
-        which plans don't model). Every probe consumes exactly the
-        clock advance, token-bucket draws, and loss-stream draws the
-        legacy walk would, in the same order, so mixing replayed and
-        fallback probes within one batch cannot shift a single byte.
+        ``targets`` comes from :meth:`_resolve_targets`: an address
+        paired with its hitlist ``Destination`` replays that plan, one
+        paired with ``None`` walks hop-by-hop. Every replayed probe
+        consumes exactly the clock advance, token-bucket draws, and
+        loss-stream draws the walk would, in the same order, so mixing
+        replayed and walked probes within one batch cannot shift a
+        single byte.
 
         Counters, ident/seq draws, and per-AS options load are folded
         into one add per batch in a ``finally`` block: a supervision
@@ -560,16 +552,6 @@ class Prober:
                 out.append(_FILTERED_OUTCOME)
             return out
         src_asn = vp.addr >> 16
-        if src_asn not in network.graph:
-            # A source outside the AS graph can't be planned (the walk
-            # drops it at injection); keep the legacy path's behaviour.
-            for addr, _dest in targets:
-                if heartbeat is not None:
-                    heartbeat()
-                out.append(_outcome_from_result(
-                    self.ping_rr(vp, addr, slots=slots, ttl=ttl, pps=pps)
-                ))
-            return out
         metrics = self._metrics_for("rr")
         clock = network.clock
         injector = network._injector
@@ -580,7 +562,7 @@ class Prober:
         span_on = bool(self.span_sample) and _TRACER.enabled
         plans = network._plans
         base_key = (KIND_RR, slots, ttl, None)
-        n = replied_n = lookups = plan_hits = 0
+        n = replied_n = plan_hits = 0
         counts: dict = {}
         # The sim clock stays in a local for the whole batch (same
         # float additions as SimClock.advance, so bit-equal times) and
@@ -602,7 +584,6 @@ class Prober:
                 start = now
                 now += dt
                 n += 1
-                lookups += 1
                 key = (src_asn, addr)
                 plan = plans.get(key)
                 if plan is None:
@@ -659,7 +640,7 @@ class Prober:
             if n:
                 self._fold(
                     metrics, network, counts,
-                    n, replied_n, lookups, plan_hits,
+                    n, replied_n, plan_hits,
                 )
         return out
 
@@ -676,12 +657,6 @@ class Prober:
         network = self.network
         out: List[PingResult] = []
         src_asn = vp.addr >> 16
-        if src_asn not in network.graph:
-            for addr, _dest in targets:
-                if heartbeat is not None:
-                    heartbeat()
-                out.append(self.ping(vp, addr, count=count, pps=pps))
-            return out
         metrics = self._metrics_for("ping")
         clock = network.clock
         injector = network._injector
@@ -691,7 +666,7 @@ class Prober:
         span_on = bool(self.span_sample) and _TRACER.enabled
         plans = network._plans
         base_key = (KIND_PING, 0, DEFAULT_TTL, None)
-        n = replied_n = lookups = plan_hits = 0
+        n = replied_n = plan_hits = 0
         counts: dict = {}
         # Local sim clock, as in _batch_rr: synced around fallbacks
         # and in the finally so partial batches match the legacy loop.
@@ -714,7 +689,6 @@ class Prober:
                     now += dt
                     sent += 1
                     n += 1
-                    lookups += 1
                     key = (src_asn, addr)
                     plan = plans.get(key)
                     if plan is None:
@@ -785,7 +759,7 @@ class Prober:
             if n:
                 self._fold(
                     metrics, network, counts,
-                    n, replied_n, lookups, plan_hits,
+                    n, replied_n, plan_hits,
                 )
         return out
 
@@ -796,7 +770,6 @@ class Prober:
         counts: dict,
         n: int,
         replied_n: int,
-        lookups: int,
         plan_hits: int,
     ) -> None:
         """One batch's deferred accounting, applied as single adds.
@@ -817,7 +790,7 @@ class Prober:
         self._ident = (self._ident + n) & 0xFFFF
         self._seq = (self._seq + n) & 0xFFFF
         network._plan_hits.inc(plan_hits)
-        network._plan_misses.inc(lookups - plan_hits)
+        network._plan_misses.inc(n - plan_hits)
         # A plan-cache hit skipped the _forward_path call the legacy
         # walk performs per probe; fold the hits it would have counted
         # (compiles run _forward_path themselves, covering the misses).
@@ -838,16 +811,27 @@ class Prober:
             options_load[asn] = options_load.get(asn, 0) + count
 
     def _resolve_targets(
-        self, dests: Iterable[int]
+        self, vp: VantagePoint, addrs: Iterable[int]
     ) -> List[Tuple[int, Optional[Destination]]]:
-        """Pair each probed address with its hitlist destination.
+        """Decide, per probed address, whether it replays or walks.
+
+        The one place that picks the dataplane. An address paired with
+        its hitlist ``Destination`` replays that destination's compiled
+        plan; one paired with ``None`` walks hop-by-hop. ``None`` goes
+        to every address when ``batching`` is off (the walk is the
+        reference) or when the source AS is outside the graph (the walk
+        drops such a packet at injection, which plans don't model), and
+        to any address outside the hitlist (routers or voids).
 
         Resolution goes through ``hitlist.by_addr`` — the same lookup
         ``send_packet`` performs — so a plan is always compiled for the
         *stored* destination, even if a caller hands in a look-alike.
         """
-        by_addr = self.network.hitlist.by_addr
-        return [(addr, by_addr(addr)) for addr in dests]
+        network = self.network
+        if not self.batching or vp.addr >> 16 not in network.graph:
+            return [(addr, None) for addr in addrs]
+        by_addr = network.hitlist.by_addr
+        return [(addr, by_addr(addr)) for addr in addrs]
 
     def probe_batch_rows(
         self,
@@ -864,8 +848,8 @@ class Prober:
         Returns ``(dest, outcome)`` pairs in probe order; outcomes
         carry precomputed ``rr_responsive`` / ``dest_slot`` /
         ``inprefix`` so the survey loop does dict appends and nothing
-        else. Falls back to the legacy per-destination walk (wrapped in
-        the same shape) when batching is off or a tracer is attached.
+        else. Walked probes (see :meth:`_resolve_targets`) come back
+        wrapped in the same shape.
 
         ``round_no`` is the caller's retry round; misbehavior specs
         with ``sticky=False`` re-roll their hit decision per round, so
@@ -874,22 +858,13 @@ class Prober:
         Misbehavior transform: when a :class:`FaultInjector` with
         misbehavior specs is attached, the finished pairs are run
         through :meth:`FaultInjector.misbehave_pairs` — a single choke
-        point *after* both the batched and the legacy branch, and after
-        all deferred accounting, so the taint is byte-identical
-        batched-vs-legacy and never perturbs counters.
+        point after every probe, replayed or walked, and after all
+        deferred accounting, so the taint is byte-identical either way
+        and never perturbs counters.
         """
-        if not self._can_batch():
-            pairs = []
-            for dest in dests:
-                if heartbeat is not None:
-                    heartbeat()
-                pairs.append((dest, _outcome_from_result(
-                    self.ping_rr(vp, dest.addr, slots=slots, ttl=ttl, pps=pps)
-                )))
-        else:
-            targets = self._resolve_targets(dest.addr for dest in dests)
-            outcomes = self._batch_rr(vp, targets, slots, ttl, pps, heartbeat)
-            pairs = list(zip(dests, outcomes))
+        targets = self._resolve_targets(vp, (dest.addr for dest in dests))
+        outcomes = self._batch_rr(vp, targets, slots, ttl, pps, heartbeat)
+        pairs = list(zip(dests, outcomes))
         injector = self.network._injector
         if injector is not None and injector.has_misbehavior:
             pairs = injector.misbehave_pairs(vp.name, pairs, slots, round_no)
@@ -904,55 +879,28 @@ class Prober:
         heartbeat: Optional[Callable[[], None]] = None,
     ) -> List[PingResult]:
         """Batched plain-ping rounds over hitlist destinations."""
-        if not self._can_batch():
-            results = []
-            for dest in dests:
-                if heartbeat is not None:
-                    heartbeat()
-                results.append(
-                    self.ping(vp, dest.addr, count=count, pps=pps)
-                )
-            return results
-        targets = self._resolve_targets(dest.addr for dest in dests)
+        targets = self._resolve_targets(vp, (dest.addr for dest in dests))
         return self._batch_ping(vp, targets, count, pps, heartbeat)
 
-    def probe_batch(
+    # -- batches ---------------------------------------------------------
+
+    def batch_ping_rr(
         self,
         vp: VantagePoint,
         dests: Sequence[int],
-        kind: str = "rr",
-        count: int = 3,
+        pps: Optional[float] = None,
         slots: int = RR_MAX_SLOTS,
         ttl: int = DEFAULT_TTL,
-        pps: Optional[float] = None,
-    ) -> List:
-        """Public batch API over raw addresses: full result objects.
+    ) -> List[RRPingResult]:
+        """Probe ``dests`` in the given order at a steady ``pps``.
 
-        ``kind="rr"`` returns :class:`RRPingResult` per address,
-        ``kind="ping"`` returns :class:`PingResult` — field-for-field
-        what the per-probe methods would have produced, at replay cost.
+        Returns field-for-field what :meth:`ping_rr` would have
+        produced per address, at replay cost.
         """
-        if kind == "ping":
-            if not self._can_batch():
-                return [
-                    self.ping(vp, addr, count=count, pps=pps)
-                    for addr in dests
-                ]
-            return self._batch_ping(
-                vp, self._resolve_targets(dests), count, pps, None
-            )
-        if kind != "rr":
-            raise ValueError(f"unknown batch kind: {kind!r}")
-        if not self._can_batch():
-            return [
-                self.ping_rr(vp, addr, slots=slots, ttl=ttl, pps=pps)
-                for addr in dests
-            ]
-        outcomes = self._batch_rr(
-            vp, self._resolve_targets(dests), slots, ttl, pps, None
-        )
+        targets = self._resolve_targets(vp, dests)
+        outcomes = self._batch_rr(vp, targets, slots, ttl, pps, None)
         results = []
-        for addr, outcome in zip(dests, outcomes):
+        for (addr, _dest), outcome in zip(targets, outcomes):
             if outcome.responded:
                 results.append(RRPingResult(
                     vp_name=vp.name,
@@ -978,29 +926,3 @@ class Prober:
                     rr_slots=slots,
                 ))
         return results
-
-    # -- batches ---------------------------------------------------------
-
-    def batch_ping_rr(
-        self,
-        vp: VantagePoint,
-        dests: Sequence[int],
-        pps: Optional[float] = None,
-        slots: int = RR_MAX_SLOTS,
-        ttl: int = DEFAULT_TTL,
-    ) -> List[RRPingResult]:
-        """Probe ``dests`` in the given order at a steady ``pps``."""
-        return self.probe_batch(
-            vp, list(dests), kind="rr", slots=slots, ttl=ttl, pps=pps
-        )
-
-    def batch_ping(
-        self,
-        vp: VantagePoint,
-        dests: Iterable[int],
-        count: int = 3,
-        pps: Optional[float] = None,
-    ) -> List[PingResult]:
-        return self.probe_batch(
-            vp, list(dests), kind="ping", count=count, pps=pps
-        )

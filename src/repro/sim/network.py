@@ -582,11 +582,10 @@ class Network:
     ) -> Tuple[RoundTripPlan, bool]:
         """The compiled round-trip plan for (ingress AS, destination).
 
-        Returns ``(plan, hit)``; ``hit`` tells the replay engine
-        whether this probe rode the cache (so the folded forward-path
-        hit counter stays exactly equal to the legacy walk's: a compile
-        runs ``_forward_path`` itself, accounting for the triggering
-        probe's lookup).
+        Returns ``(plan, hit)``; ``hit`` tells the caller whether this
+        lookup rode the cache (a compile runs ``_forward_path`` itself,
+        accounting for the triggering probe's lookup). The replay loops
+        inline the hit path and call :meth:`_plan_miss` directly.
         """
         key = (src_asn, dest.addr)
         plan = self._plans.get(key)
@@ -595,12 +594,7 @@ class Network:
             self._plans.move_to_end(key)
             return plan, True
         self._plan_misses.inc()
-        plan = self._compile_plan(src_asn, dest)
-        self._plans[key] = plan
-        if len(self._plans) > self.plan_cache_cap:
-            self._plans.popitem(last=False)
-            self._plan_evictions.inc()
-        return plan, False
+        return self._plan_miss(key, src_asn, dest), False
 
     def _plan_miss(
         self, key: Tuple[int, int], src_asn: int, dest: Destination

@@ -40,14 +40,22 @@ def _survey_bytes(survey, tmp_path, name):
 
 
 def _campaign_bytes(seed, faults, jobs, batch, tmp_path, name):
-    """One fresh-world campaign's ``save_survey`` bytes."""
+    """One fresh-world campaign's ``save_survey`` bytes.
+
+    The legacy side must really walk: it replays no plan, so a parity
+    check cannot pass by comparing replay with replay.
+    """
     world = get_preset("tiny", seed)
     world.prober.batching = batch
+    replays = world.network._plan_replays
+    before = replays.value
     targets = list(world.hitlist)[:N_DESTS]
     plan = build_fault_plan(faults, scenario_seed=seed)
     result = CampaignRunner(
         world, plan=plan, jobs=jobs, max_retries=3
     ).run(targets=targets)
+    if not batch:
+        assert replays.value == before, "the legacy side replayed plans"
     return _survey_bytes(result.survey, tmp_path, name)
 
 
@@ -139,6 +147,27 @@ class TestParityMatrix:
                 tmp_path=tmp_path, name=f"batched-{jobs}.json",
             )
             assert batched == legacy, (seed, faults, jobs)
+
+
+class TestWalkReference:
+    def test_batching_off_replays_and_compiles_nothing(self):
+        """``batching`` off really selects the walk: the survey adds
+        nothing to the replay and compile counters, while its batched
+        twin adds to both."""
+        added = {}
+        for batching in (False, True):
+            world = get_preset("tiny", 2016)
+            world.prober.batching = batching
+            net = world.network
+            before = (net._plan_replays.value, net._plan_compiles.value)
+            run_rr_survey(world, dests=list(world.hitlist)[:N_DESTS])
+            added[batching] = (
+                net._plan_replays.value - before[0],
+                net._plan_compiles.value - before[1],
+            )
+        assert added[False] == (0, 0), added
+        replays, compiles = added[True]
+        assert replays > 0 and compiles > 0, added
 
 
 class TestOptionsLoadParity:

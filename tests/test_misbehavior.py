@@ -486,17 +486,25 @@ class TestMisbehaviorParity:
     @pytest.mark.parametrize("preset", ["misbehave", "hostile"])
     def test_batched_vs_legacy_parity(self, preset, tmp_path):
         plan = build_fault_plan(preset, scenario_seed=7)
-        scenario = _scenario()
-        targets = list(scenario.hitlist)[:DESTS]
-        batched = CampaignRunner(scenario, plan=plan).run(targets=targets)
-        legacy_scenario = _scenario()
-        legacy_scenario.prober.batching = False
-        legacy = CampaignRunner(legacy_scenario, plan=plan).run(
-            targets=list(legacy_scenario.hitlist)[:DESTS]
-        )
-        assert _survey_bytes(
-            batched.survey, tmp_path, "batched"
-        ) == _survey_bytes(legacy.survey, tmp_path, "legacy")
+        # 60 is the slice CI's misbehavior-smoke ``chaos`` runs probe.
+        for dests in (DESTS, 60):
+            scenario = _scenario()
+            batched = CampaignRunner(scenario, plan=plan).run(
+                targets=list(scenario.hitlist)[:dests]
+            )
+            legacy_scenario = _scenario()
+            legacy_scenario.prober.batching = False
+            replays = legacy_scenario.network._plan_replays
+            before = replays.value
+            legacy = CampaignRunner(legacy_scenario, plan=plan).run(
+                targets=list(legacy_scenario.hitlist)[:dests]
+            )
+            assert replays.value == before, "the legacy side replayed plans"
+            assert _survey_bytes(
+                batched.survey, tmp_path, f"batched-{dests}"
+            ) == _survey_bytes(
+                legacy.survey, tmp_path, f"legacy-{dests}"
+            ), dests
 
     def test_quality_totals_match_across_jobs(self):
         plan = build_fault_plan("misbehave", scenario_seed=7)

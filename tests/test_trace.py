@@ -8,6 +8,7 @@ that quietly breaks the stamp/expiry ordering fails loudly here.
 
 import pytest
 
+from repro.core.survey import run_rr_survey, save_survey
 from repro.obs.trace import PacketTracer
 from repro.scenarios.presets import tiny
 from repro.sim.network import Network
@@ -126,6 +127,30 @@ class TestTtlLimitedExpiry:
             pytest.skip("no TTL-expiring path found from this VP")
         finally:
             network.detach_tracer()
+
+
+class TestTracerObservesOnly:
+    def test_traced_survey_replays_and_saves_same_bytes(self, tmp_path):
+        """An attached tracer never switches the path: a traced survey
+        still replays compiled plans and saves its untraced twin's
+        bytes."""
+        plain = tiny(seed=2016)
+        traced = tiny(seed=2016)
+        replays = traced.network._plan_replays
+        baseline = run_rr_survey(plain, dests=list(plain.hitlist)[:30])
+        before = replays.value
+        traced.network.attach_tracer(PacketTracer())
+        try:
+            observed = run_rr_survey(
+                traced, dests=list(traced.hitlist)[:30]
+            )
+        finally:
+            traced.network.detach_tracer()
+        assert replays.value > before
+        save_survey(baseline, tmp_path / "plain.json")
+        save_survey(observed, tmp_path / "traced.json")
+        assert (tmp_path / "traced.json").read_bytes() == \
+            (tmp_path / "plain.json").read_bytes()
 
 
 class TestStatsFacadeRegistryParity:
