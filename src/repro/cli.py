@@ -187,6 +187,15 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _address(text: str) -> int:
+    """``--dst``: a dotted-quad IPv4 address (anything else is a usage
+    error, exit 2)."""
+    try:
+        return addr_to_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -400,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--vp", default=None,
         help="VP name (default: first working VP)",
     )
-    probe.add_argument("--dst", required=True, help="dotted-quad target")
+    probe.add_argument(
+        "--dst", type=_address, required=True, help="dotted-quad target"
+    )
     probe.add_argument(
         "--type",
         dest="probe_type",
@@ -755,8 +766,12 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     if args.vp is None:
         vp = scenario.working_vps[0]
     else:
-        vp = scenario.vp_by_name(args.vp)
-    dst = addr_to_int(args.dst)
+        try:
+            vp = scenario.vp_by_name(args.vp)
+        except KeyError as exc:
+            print(f"probe: {exc.args[0]}", file=sys.stderr)
+            return 2
+    dst = args.dst
     prober = scenario.prober
     trace_output = getattr(args, "trace_output", None)
     tracer: Optional[PacketTracer] = None

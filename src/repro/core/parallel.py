@@ -48,13 +48,14 @@ Pool plumbing: under the default ``fork`` start method workers inherit
 the parent's scenario copy-on-write (zero rebuild cost); under
 ``spawn`` each worker rebuilds it from its
 :class:`~repro.scenarios.internet.ScenarioParams` (bit-identical by
-construction). Workers follow the parent's span-tracing setting, read
-when the executor is built. ``Prober.batching`` is not shipped: it is
-the walk-as-reference switch the parity tests flip at ``jobs=1``. Each
-task ships home its result plus a pruned metrics-registry snapshot, its
-span buffer and the per-AS options-load delta; the parent folds them
-in key order, so totals never depend on completion order. A killed
-attempt ships nothing.
+construction). Workers follow the parent's span-tracing setting and
+its ``Prober.batching``, the walk-as-reference switch the parity tests
+flip; both are read when the executor is built, so a worker walks or
+replays alike under either start method. Each task ships home its
+result plus a pruned metrics-registry snapshot, its span buffer and
+the per-AS options-load delta; the parent folds them in key order, so
+totals never depend on completion order. A killed attempt ships
+nothing.
 
 Collector discipline: right before every task body the executor calls
 ``gc.freeze()``, wherever the body runs. Everything older than the task
@@ -89,11 +90,7 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.journal import (
-    DEFAULT_JOURNAL_CAPACITY,
-    JOURNAL_PROGRESS_EVERY,
-    FlightRecorder,
-)
+from repro.obs.journal import DEFAULT_JOURNAL_CAPACITY, FlightRecorder
 from repro.obs.metrics import (
     CounterFamily,
     HistogramFamily,
@@ -303,27 +300,33 @@ def _worker_serve(payload, setup, conn, heartbeat_value) -> None:
     send — so a worker blocked handing bytes to a busy parent is never
     mistaken for a hung one.
 
-    Flight recording (supervised only): every task start, first
-    destination, every
-    :data:`~repro.obs.journal.JOURNAL_PROGRESS_EVERY`-th destination,
-    and every task end is journalled into a :class:`FlightRecorder`
-    and flushed *incrementally* over this same pipe as a tagged
-    ``("journal", key, events)`` message — so when the watchdog kills
-    this process, the parent already holds its final recorded moments
-    for the quarantine manifest.
+    Flight recording (supervised only): each task's start and first
+    destination are journalled into a :class:`FlightRecorder` and
+    flushed at once, *incrementally*, over this same pipe as a tagged
+    ``("journal", key, events)`` message. After that the body's
+    heartbeats record and flush a ``progress`` event (destinations so
+    far) at most once per the watchdog's ``poll_interval`` — the
+    watchdog polls no faster, so fresher progress would go unread —
+    and the task's end rides home with its result. So when the
+    watchdog kills this process, the parent already holds its final
+    recorded moments for the quarantine manifest, and the pipe carries
+    messages per task and per poll, never per destination.
     """
-    params, spans = setup
+    params, spans, batching, poll_interval = setup
     scenario = _PARENT_SCENARIO
     if scenario is None:
         scenario = build_scenario(params)
+    scenario.prober.batching = batching
     TRACER.configure(spans)
     state = dict(payload, scenario=scenario)
     body = payload["task_body"]
     recorder = None if heartbeat_value is None else FlightRecorder()
     flushed_seq = 0
 
-    def beat() -> None:
-        heartbeat_value.value = time.monotonic()
+    def beat() -> float:
+        now = time.monotonic()
+        heartbeat_value.value = now
+        return now
 
     def flush_journal(key) -> None:
         nonlocal flushed_seq
@@ -351,24 +354,26 @@ def _worker_serve(payload, setup, conn, heartbeat_value) -> None:
         destinations = 0
         task_beat: Optional[Callable[[], None]] = None
         if recorder is not None:
-            beat()
+            progress_due = beat() + poll_interval
             recorder.record(
                 "task_start", vp=label, vp_index=key, args=list(task[2:])
             )
             flush_journal(key)
 
             def task_beat() -> None:
-                nonlocal destinations
-                beat()
+                nonlocal destinations, progress_due
+                now = beat()
                 destinations += 1
                 if destinations == 1:
                     recorder.record("first_destination", vp=label)
-                    flush_journal(key)
-                elif destinations % JOURNAL_PROGRESS_EVERY == 0:
+                elif now >= progress_due:
                     recorder.record(
                         "progress", vp=label, destinations=destinations
                     )
-                    flush_journal(key)
+                else:
+                    return
+                flush_journal(key)
+                progress_due = now + poll_interval
 
         error: Optional[str] = None
         result = None
@@ -453,8 +458,15 @@ class WorkerWatchdog:
         registry = REGISTRY if registry is None else registry
         self._registry = registry
         #: Worker setup the executor owns: how to rebuild the scenario
-        #: (spawn) and the parent's span-tracing switch.
-        self._setup = (scenario.params, TRACER.enabled)
+        #: (spawn), the parent's span-tracing and walk-as-reference
+        #: switches, and the watchdog's poll interval, which paces
+        #: supervised workers' journal progress.
+        self._setup = (
+            scenario.params,
+            TRACER.enabled,
+            scenario.prober.batching,
+            None if config is None else config.poll_interval,
+        )
         if config is not None:
             net_id = scenario.network.net_id
             self._hangs = supervisor_hang_counter(registry).labels(net_id)

@@ -25,11 +25,7 @@ from repro.obs.spans import (
     TRACER,
     get_tracer,
 )
-from repro.obs.journal import (
-    DEFAULT_JOURNAL_CAPACITY,
-    JOURNAL_PROGRESS_EVERY,
-    FlightRecorder,
-)
+from repro.obs.journal import DEFAULT_JOURNAL_CAPACITY, FlightRecorder
 from repro.obs.timing import timed
 from repro.obs.trace import DEFAULT_TRACE_CAPACITY, PacketTracer, TraceEvent
 from repro.obs.export import (
@@ -68,7 +64,6 @@ __all__ = [
     "MAX_SPAN_EVENTS",
     "FlightRecorder",
     "DEFAULT_JOURNAL_CAPACITY",
-    "JOURNAL_PROGRESS_EVERY",
     "PacketTracer",
     "TraceEvent",
     "DEFAULT_TRACE_CAPACITY",

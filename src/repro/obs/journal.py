@@ -4,9 +4,9 @@ When the :class:`~repro.core.parallel.WorkerWatchdog` kills a hung
 worker, the process's state dies with it — metrics show *that* it
 hung, never *what it was doing*. A :class:`FlightRecorder` fixes the
 post-mortem gap: supervised workers record coarse structured events
-(task start, periodic progress, task end) into a bounded ring and
-flush the new entries over the existing duplex supervisor pipe on a
-heartbeat cadence. The parent keeps the last
+(task start, first destination, periodic progress, task end) into a
+bounded ring and flush the new entries over the existing duplex
+supervisor pipe. The parent keeps the last
 :data:`DEFAULT_JOURNAL_CAPACITY` events per VP, so when a worker is
 killed for hanging or crashes outright, its final journal tail is
 already parent-side — and lands in the quarantine manifest as the
@@ -18,9 +18,11 @@ Events are plain dicts (pickle- and JSON-friendly)::
 
 ``seq`` is monotonically increasing per recorder and survives ring
 truncation, so a reader can tell events were lost. Recording is a
-dict append into a ``deque`` — cheap enough for the supervised paths
-it runs on (it is never on the per-probe hot path; progress events are
-recorded every :data:`JOURNAL_PROGRESS_EVERY` destinations).
+dict append into a ``deque`` and :meth:`FlightRecorder.since` copies
+only the events after its mark, so a flush costs the events it ships.
+Neither runs per probe: a supervised worker records ``progress`` on
+the heartbeat clock, at most once per watchdog poll interval, so its
+journal traffic grows with tasks and time, not with destinations.
 """
 
 from __future__ import annotations
@@ -32,15 +34,10 @@ from typing import Deque, List, Optional
 __all__ = [
     "FlightRecorder",
     "DEFAULT_JOURNAL_CAPACITY",
-    "JOURNAL_PROGRESS_EVERY",
 ]
 
 #: Ring capacity, worker-side and per-VP parent-side.
 DEFAULT_JOURNAL_CAPACITY = 256
-
-#: Destinations between periodic in-task progress events (and their
-#: piggybacked pipe flushes) in the supervised worker.
-JOURNAL_PROGRESS_EVERY = 8
 
 
 class FlightRecorder:
@@ -88,9 +85,16 @@ class FlightRecorder:
     def since(self, seq: int) -> List[dict]:
         """Events with ``seq`` greater than ``seq`` — the incremental
         flush unit: the supervisor pipe ships only what the parent has
-        not yet seen."""
-        return [dict(event) for event in self._events
-                if event["seq"] > seq]
+        not yet seen.
+
+        The ring holds the contiguous run ``last_seq - len + 1 ..
+        last_seq``, so the new events are its last ``last_seq - seq``
+        (all of it when more were recorded than it keeps); only those
+        are touched.
+        """
+        new = min(self._seq - seq, len(self._events))
+        return [dict(self._events[-index])
+                for index in range(new, 0, -1)]
 
     def clear(self) -> None:
         self._events.clear()

@@ -10,12 +10,17 @@ windows must never replay a stale template).
 
 from __future__ import annotations
 
+import multiprocessing
+import types
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main as cli_main
+from repro.core import parallel
 from repro.core.survey import run_rr_survey, save_survey
 from repro.faults import CampaignRunner, FaultInjector, FaultPlan, LinkFlap
+from repro.obs.metrics import REGISTRY
 from repro.obs.spans import TRACER
 from repro.probing.prober import DEFAULT_PPS
 from repro.scenarios.faults import build_fault_plan
@@ -168,6 +173,33 @@ class TestWalkReference:
         assert added[False] == (0, 0), added
         replays, compiles = added[True]
         assert replays > 0 and compiles > 0, added
+
+    def test_switch_reaches_spawned_workers(self, monkeypatch):
+        """A spawned worker rebuilds its scenario, prober included, from
+        the params; the executor ships ``batching`` so it still walks
+        like a forked one. Replays are summed over every network's
+        series: a rebuilt network counts under its own ``net`` label."""
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            parallel, "multiprocessing",
+            types.SimpleNamespace(get_context=lambda: spawn),
+        )
+
+        def replays():
+            family = REGISTRY.snapshot().get("plan_replays_total")
+            return sum(s["value"] for s in family["series"]) if family else 0
+
+        added = {}
+        for batching in (False, True):
+            world = get_preset("tiny", 2016)
+            world.prober.batching = batching
+            before = replays()
+            run_rr_survey(
+                world, dests=list(world.hitlist)[:N_DESTS], jobs=2
+            )
+            added[batching] = replays() - before
+        assert added[False] == 0, added
+        assert added[True] > 0, added
 
 
 class TestOptionsLoadParity:

@@ -31,6 +31,24 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dst", ["999.1.2.3", "10.0.0", "host"])
+    def test_probe_bad_dst_is_a_usage_error(self, capsys, dst):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["probe", "--preset", "tiny", "--dst", dst])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--dst" in err and "Traceback" not in err
+
+    def test_probe_unknown_vp_exits_2(self, capsys):
+        code = main(
+            ["probe", "--preset", "tiny", "--vp", "nosuch",
+             "--dst", "10.0.0.1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "probe: unknown vantage point 'nosuch'"
+        )
+
 
 class TestCommands:
     def test_presets_lists_all(self, capsys):

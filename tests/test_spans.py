@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.survey import run_rr_survey, save_survey
 from repro.faults import (
@@ -248,6 +249,38 @@ class TestFlightRecorder:
         recorder.record("c")
         assert [e["kind"] for e in recorder.since(mark)] == ["c"]
         assert recorder.since(recorder.last_seq) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(min_value=1, max_value=40),
+        before_clear=st.integers(min_value=0, max_value=60),
+        after_clear=st.one_of(st.none(), st.integers(0, 60)),
+        mark=st.integers(min_value=-3, max_value=125),
+    )
+    @example(capacity=3, before_clear=10, after_clear=None, mark=2)
+    @example(capacity=3, before_clear=10, after_clear=None, mark=8)
+    @example(capacity=4, before_clear=9, after_clear=2, mark=5)
+    def test_since_equals_the_ring_filter(
+        self, capacity, before_clear, after_clear, mark
+    ):
+        """``since`` slices the ring's tail instead of filtering it;
+        the filter stays here as the oracle — wrapped rings, marks
+        older than the ring, past its end, and rings cleared midway
+        (``seq`` keeps counting) included."""
+        recorder = FlightRecorder(capacity=capacity)
+        for index in range(before_clear):
+            recorder.record("e", i=index)
+        if after_clear is not None:
+            recorder.clear()
+            for index in range(after_clear):
+                recorder.record("e", i=before_clear + index)
+        ring = recorder.tail()
+        expected = [event for event in ring if event["seq"] > mark]
+        got = recorder.since(mark)
+        assert got == expected
+        for event in got:  # copies: a reader cannot edit the ring
+            event["kind"] = "edited"
+        assert recorder.tail() == ring
 
     def test_default_capacity(self):
         assert FlightRecorder().capacity == DEFAULT_JOURNAL_CAPACITY

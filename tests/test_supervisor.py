@@ -352,6 +352,60 @@ class TestWorkerWatchdog:
 
 
 # ---------------------------------------------------------------------------
+# Flight-recorder cadence: journal traffic grows with tasks and time.
+# ---------------------------------------------------------------------------
+
+
+def _beat_then_wedge_body(state, task, heartbeat):
+    """Heartbeat a few times, each beat more than the poll interval
+    after the last, then wedge without beating again."""
+    for _ in range(4):
+        heartbeat()
+        time.sleep(state["gap"])
+    time.sleep(60.0)
+
+
+class TestJournalCadence:
+    def test_quiet_task_journals_start_first_destination_end(
+        self, world, vp_list
+    ):
+        """A task that finishes inside one poll interval journals its
+        start, first destination and end — nothing per destination —
+        while ``task_end`` still counts every destination."""
+        dests = list(world.hitlist)[:300]
+        config = SupervisionConfig(hang_timeout=60.0, poll_interval=30.0)
+        payload = _watchdog_payload(
+            world, dests, vp_list, FaultPlan(seed=0)
+        )
+        with WorkerWatchdog(world, payload, 2, config) as watchdog:
+            outcomes = watchdog.run_tasks(
+                [(i, vp_list[i].name, 1) for i in range(3)]
+            )
+        assert all(outcome[1] == "ok" for outcome in outcomes.values())
+        for key in range(3):
+            tail = watchdog.journal_tail(key)
+            assert [event["kind"] for event in tail] == [
+                "task_start", "first_destination", "task_end"
+            ], key
+            assert tail[-1]["destinations"] == len(dests)
+
+    def test_killed_task_keeps_its_progress(self, world):
+        """Progress flushed on the heartbeat clock is parent-side
+        before the watchdog shoots a wedged worker."""
+        config = SupervisionConfig(
+            hang_timeout=0.5, poll_interval=0.02, task_tries=1
+        )
+        payload = {"task_body": _beat_then_wedge_body, "gap": 0.1}
+        with WorkerWatchdog(world, payload, 1, config) as watchdog:
+            outcomes = watchdog.run_tasks([(0, "wedged")])
+        assert outcomes[0][1] == "hang"
+        tail = watchdog.journal_tail(0)
+        assert tail[-1]["kind"] == "watchdog_kill"
+        progress = [event for event in tail if event["kind"] == "progress"]
+        assert progress and progress[0]["destinations"] >= 1
+
+
+# ---------------------------------------------------------------------------
 # Supervised campaigns: the acceptance properties.
 # ---------------------------------------------------------------------------
 
