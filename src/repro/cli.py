@@ -856,7 +856,7 @@ def _health_summary(snapshot: dict) -> dict:
             snapshot, "supervisor_breaker_skips_total"
         ).get("", 0),
         "checkpoint_repairs": _sum_series(
-            snapshot, "campaign_checkpoint_repairs_total"
+            snapshot, "checkpoint_repairs_total"
         ).get("", 0),
         "checksums_verified": _sum_series(
             snapshot, "artifact_checksum_verified_total", by="kind"

@@ -39,12 +39,12 @@ from typing import (
 from repro.core.parallel import SurveyWorkerError, WorkerWatchdog
 from repro.net.addr import parse_prefix, same_slash24
 from repro.probing.artifacts import (
+    SurveyFormatError,
     atomic_write_bytes,
     canonical_json_bytes,
     embed_checksum,
     verify_embedded_checksum,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import TRACER
 from repro.obs.timing import timed
 from repro.probing.prober import DEFAULT_PPS
@@ -68,23 +68,6 @@ __all__ = [
     "PING_SHARDS",
 ]
 
-
-class SurveyFormatError(ValueError):
-    """A survey (or checkpoint) artifact on disk is unreadable.
-
-    Raised with the offending path and a human-readable reason instead
-    of leaking ``json.JSONDecodeError`` / ``EOFError`` / gzip internals
-    to the caller — load-bearing once ``--resume`` reads checkpoints
-    written by possibly-killed campaigns.
-    """
-
-    def __init__(self, path: Union[str, Path], reason: str) -> None:
-        super().__init__(str(path), reason)
-        self.path = str(path)
-        self.reason = reason
-
-    def __str__(self) -> str:
-        return f"{self.path}: {self.reason}"
 
 #: Fixed shard count for the ping survey. Destinations are dealt
 #: round-robin into this many shards regardless of ``jobs``, so every
@@ -294,29 +277,18 @@ def save_survey(survey: RRSurvey, path: Union[str, Path]) -> None:
         atomic_write_bytes(path, data)
 
 
-def load_json_artifact(
-    path: Union[str, Path],
-    kind: str = "artifact",
-    registry: Optional[MetricsRegistry] = None,
-) -> dict:
-    """Read + parse a (possibly gzipped) JSON artifact, or raise
-    :class:`SurveyFormatError` with the path and a clear reason.
+def load_survey(path: Union[str, Path]) -> RRSurvey:
+    """Load a survey written by :func:`save_survey` (``.gz`` aware).
 
-    Shared by :func:`load_survey` and the service checkpoint loader:
-    truncated gzip streams (``EOFError``), corrupt gzip headers
-    (``gzip.BadGzipFile``), truncated/garbage JSON
-    (``json.JSONDecodeError``), and non-UTF-8 bytes all surface as the
-    same well-labelled error. A missing file stays a
+    Raises :class:`SurveyFormatError` with the path and a clear reason
+    instead of leaking parser internals: truncated gzip streams
+    (``EOFError``), corrupt gzip headers (``gzip.BadGzipFile``),
+    truncated/garbage JSON (``json.JSONDecodeError``), non-UTF-8
+    bytes, an embedded-checksum mismatch (counted in
+    ``artifact_checksum_failures_total{kind="survey"}``), another
+    version, or a malformed record. A missing file stays a
     ``FileNotFoundError`` — absence and corruption are different
     failures.
-
-    If the record carries an embedded content checksum (every artifact
-    written since checksums existed does), it is recomputed over the
-    parsed record's canonical bytes and compared; a mismatch raises
-    :class:`SurveyFormatError` and is counted in
-    ``artifact_checksum_failures_total{kind}`` (in ``registry``, the
-    process-wide one by default). The checksum field is stripped from
-    the returned record.
     """
     raw = Path(path).read_bytes()
     if _is_gzip_path(path):
@@ -331,34 +303,19 @@ def load_json_artifact(
                 path, f"corrupt gzip data: {exc}"
             ) from None
     try:
-        text = raw.decode("utf-8")
+        record = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise SurveyFormatError(path, f"not UTF-8: {exc}") from None
-    try:
-        record = json.loads(text)
     except json.JSONDecodeError as exc:
-        reason = "truncated JSON" if not text.strip() else f"invalid JSON: {exc}"
+        reason = "truncated JSON" if not raw.strip() else f"invalid JSON: {exc}"
         raise SurveyFormatError(path, reason) from None
     if not isinstance(record, dict):
         raise SurveyFormatError(
             path, f"expected a JSON object, got {type(record).__name__}"
         )
-    body, checksum_error = verify_embedded_checksum(
-        record, kind=kind, registry=registry
-    )
+    record, checksum_error = verify_embedded_checksum(record, kind="survey")
     if checksum_error is not None:
         raise SurveyFormatError(path, checksum_error)
-    return body
-
-
-def load_survey(path: Union[str, Path]) -> RRSurvey:
-    """Load a survey written by :func:`save_survey` (``.gz`` aware).
-
-    Raises :class:`SurveyFormatError` (with path + reason) on
-    truncated, corrupt, checksum-mismatched, or wrong-version
-    artifacts.
-    """
-    record = load_json_artifact(path, kind="survey")
     if record.get("version") != 1:
         raise SurveyFormatError(
             path,
@@ -397,8 +354,6 @@ def load_survey(path: Union[str, Path]) -> RRSurvey:
             rr_slots=record["rr_slots"],
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        if isinstance(exc, SurveyFormatError):
-            raise
         raise SurveyFormatError(
             path, f"malformed survey record: {type(exc).__name__}: {exc}"
         ) from exc

@@ -54,13 +54,12 @@ from repro.obs.status import CampaignStatusWriter, sum_counter
 from repro.probing.artifacts import (
     append_text_line,
     atomic_write_bytes,
-    atomic_write_text,
     canonical_json_bytes,
+    cut_checkpoint_tail,
     embed_checksum,
+    read_checkpoint,
     record_line,
-    truncate_log,
-    verified_prefix,
-    verified_record,
+    start_checkpoint,
 )
 from repro.probing.validation import empty_quality, merge_quality
 from repro.probing.prober import DEFAULT_PPS
@@ -76,8 +75,6 @@ __all__ = [
     "CampaignRunner",
     "load_checkpoint",
 ]
-
-CHECKPOINT_VERSION = 2
 
 
 class CampaignInterrupted(RuntimeError):
@@ -122,16 +119,6 @@ def campaign_resume_counter(registry: MetricsRegistry):
     return registry.counter(
         "campaign_resumed_vps_total",
         "VPs restored from a checkpoint instead of re-probed.",
-        ("net",),
-    )
-
-
-def checkpoint_repair_counter(registry: MetricsRegistry):
-    """``campaign_checkpoint_repairs_total{net}`` — resumed
-    checkpoint logs whose torn or corrupt tail was dropped."""
-    return registry.counter(
-        "campaign_checkpoint_repairs_total",
-        "Resumed checkpoints whose torn or corrupt tail was dropped.",
         ("net",),
     )
 
@@ -250,19 +237,8 @@ def load_checkpoint(path: Union[str, Path]) -> dict:
     breaks the schema (a hand-edited file, a record from a future
     version), instead of exploding deep inside the resume path.
     """
-    lines = verified_prefix(path)
-    # A v1 checkpoint is one unterminated JSON object, so it has no
-    # verified line: verify it whole so it fails on its version.
-    header = (
-        lines[0][1] if lines else verified_record(Path(path).read_bytes())
-    )
-    if header is not None and header.get("version") != CHECKPOINT_VERSION:
-        raise SurveyFormatError(
-            path,
-            f"unsupported checkpoint version: {header.get('version')!r}",
-        )
-    if not lines:
-        raise SurveyFormatError(path, "checkpoint header is torn or corrupt")
+    lines = read_checkpoint(path)
+    header = lines[0][1]
     _expect(path, "'fingerprint'", header.get("fingerprint"), str, "a string")
     data = {
         "fingerprint": header["fingerprint"],
@@ -374,7 +350,6 @@ class CampaignRunner:
         )
         self._retries = campaign_retry_counter(REGISTRY).labels(net_id)
         self._resumed = campaign_resume_counter(REGISTRY).labels(net_id)
-        self._repairs = checkpoint_repair_counter(REGISTRY).labels(net_id)
         self._ev_churn = fault_event_counter(REGISTRY).labels(
             net_id, VpChurn.KIND
         )
@@ -405,9 +380,9 @@ class CampaignRunner:
 
     def _load_resume_state(
         self, fingerprint: str, vps: Sequence[VantagePoint]
-    ) -> Tuple[Dict[str, VPRows], Dict[str, int], bool]:
-        """The checkpoint's completed VPs and attempts, plus whether a
-        torn or corrupt tail was cut off the log (before any append)."""
+    ) -> Tuple[Dict[str, VPRows], Dict[str, int], int]:
+        """The checkpoint's completed VPs and attempts, plus 1 if a torn
+        or corrupt tail was cut off the log (before any append)."""
         path = self.checkpoint_path
         assert path is not None
         data = load_checkpoint(path)
@@ -445,7 +420,9 @@ class CampaignRunner:
                 path,
                 f"malformed checkpoint record: {type(exc).__name__}: {exc}",
             ) from exc
-        return completed, attempts, truncate_log(path, data["lines"])
+        return completed, attempts, int(cut_checkpoint_tail(
+            path, data["lines"], "campaign", REGISTRY
+        ))
 
     # -- execution ---------------------------------------------------------
 
@@ -474,24 +451,14 @@ class CampaignRunner:
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint path")
         if resume and checkpoint.exists():
-            completed, attempts, repaired = self._load_resume_state(
-                fingerprint, vp_list
+            completed, attempts, checkpoint_repairs = (
+                self._load_resume_state(fingerprint, vp_list)
             )
-            if repaired:
-                checkpoint_repairs = 1
-                self._repairs.inc()
             resumed = len(completed)
             if resumed:
                 self._resumed.inc(resumed)
         elif checkpoint is not None:
-            atomic_write_text(
-                checkpoint,
-                record_line({
-                    "version": CHECKPOINT_VERSION,
-                    "fingerprint": fingerprint,
-                })
-                + "\n",
-            )
+            start_checkpoint(checkpoint, {"fingerprint": fingerprint})
 
         dark = self.plan.churned_vps([vp.name for vp in vp_list])
         pending: List[int] = [

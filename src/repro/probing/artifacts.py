@@ -23,13 +23,16 @@ by every writer:
 * The line-log codec — :func:`record_line`, :func:`append_text_line`,
   :func:`verified_record`, :func:`verified_prefix` and
   :func:`truncate_log` — for artifacts that grow one record at a time
-  (campaign checkpoints, per-spec service streams): each line is a
-  checksummed canonical record appended with fsync, and recovery keeps
-  the verified prefix and cuts the torn or corrupt tail off in place.
+  (checkpoints, per-spec service streams): each line is a checksummed
+  canonical record appended with fsync, and recovery keeps the
+  verified prefix and cuts the torn or corrupt tail off in place.
+  Checkpoints add a header line (:func:`start_checkpoint`,
+  :func:`read_checkpoint`) and :func:`cut_checkpoint_tail`.
 
 Verification outcomes are counted in the process-wide metrics
 registry (``artifact_checksum_verified_total`` /
-``artifact_checksum_failures_total`` by artifact kind) and surface in
+``artifact_checksum_failures_total`` by artifact kind, and
+``checkpoint_repairs_total`` by checkpoint kind) and surface in
 ``repro stats --health``.
 """
 
@@ -45,24 +48,46 @@ from repro.obs.metrics import CounterFamily, MetricsRegistry, REGISTRY
 
 __all__ = [
     "CHECKSUM_KEY",
+    "SurveyFormatError",
     "append_text_line",
     "atomic_write_bytes",
     "atomic_write_text",
     "canonical_json_bytes",
     "checksum_of",
+    "cut_checkpoint_tail",
     "embed_checksum",
+    "read_checkpoint",
     "record_line",
     "split_checksum",
+    "start_checkpoint",
     "truncate_log",
     "verified_prefix",
     "verified_record",
     "verify_embedded_checksum",
     "checksum_verified_counter",
     "checksum_failure_counter",
+    "checkpoint_repair_counter",
 ]
 
 #: The reserved top-level key carrying the embedded content digest.
 CHECKSUM_KEY = "sha256"
+
+#: The version every checkpoint log's header line carries.
+CHECKPOINT_VERSION = 2
+
+
+class SurveyFormatError(ValueError):
+    """A survey or checkpoint on disk is unreadable: raised with its
+    path and a human-readable reason instead of leaking
+    ``json.JSONDecodeError`` / ``EOFError`` / gzip internals."""
+
+    def __init__(self, path: Union[str, Path], reason: str) -> None:
+        super().__init__(str(path), reason)
+        self.path = str(path)
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.reason}"
 
 
 def checksum_verified_counter(registry: MetricsRegistry) -> CounterFamily:
@@ -79,6 +104,15 @@ def checksum_failure_counter(registry: MetricsRegistry) -> CounterFamily:
     return registry.counter(
         "artifact_checksum_failures_total",
         "Artifact loads rejected for an embedded-checksum mismatch.",
+        ("kind",),
+    )
+
+
+def checkpoint_repair_counter(registry: MetricsRegistry) -> CounterFamily:
+    """``checkpoint_repairs_total{kind}`` — bad checkpoint tails cut."""
+    return registry.counter(
+        "checkpoint_repairs_total",
+        "Resumed checkpoints whose torn or corrupt tail was dropped.",
         ("kind",),
     )
 
@@ -163,8 +197,7 @@ def split_checksum(record: Dict) -> Tuple[Dict, Optional[str]]:
 
 
 def verify_embedded_checksum(
-    record: Dict, kind: str = "artifact",
-    registry: Optional[MetricsRegistry] = None,
+    record: Dict, kind: str = "artifact"
 ) -> Tuple[Dict, Optional[str]]:
     """Verify ``record``'s embedded digest, if present.
 
@@ -173,18 +206,17 @@ def verify_embedded_checksum(
     human-readable mismatch description. Outcomes are counted in the
     metrics registry by ``kind``.
     """
-    registry = REGISTRY if registry is None else registry
     body, stored = split_checksum(record)
     if stored is None:
         return body, None
     actual = checksum_of(body)
     if actual != stored:
-        checksum_failure_counter(registry).labels(kind).inc()
+        checksum_failure_counter(REGISTRY).labels(kind).inc()
         return body, (
             "content checksum mismatch: artifact is corrupt "
             f"(embedded {str(stored)[:12]}…, computed {actual[:12]}…)"
         )
-    checksum_verified_counter(registry).labels(kind).inc()
+    checksum_verified_counter(REGISTRY).labels(kind).inc()
     return body, None
 
 
@@ -264,3 +296,42 @@ def truncate_log(path: Union[str, Path], lines: Sequence[bytes]) -> bool:
         fh.flush()
         os.fsync(fh.fileno())
     return True
+
+
+def start_checkpoint(path: Union[str, Path], header: Dict) -> None:
+    """Atomically replace ``path`` with a log holding only ``header``
+    (at :data:`CHECKPOINT_VERSION`)."""
+    atomic_write_text(
+        path, record_line(dict(header, version=CHECKPOINT_VERSION)) + "\n"
+    )
+
+
+def read_checkpoint(path: Union[str, Path]) -> List[Tuple[bytes, Dict]]:
+    """A checkpoint log's verified prefix, header first, or
+    :class:`SurveyFormatError` if the header is torn or corrupt or of
+    another version. A v1 checkpoint, one whole JSON object, has no
+    verified line: it is verified whole so it fails on its version."""
+    lines = verified_prefix(path)
+    header = lines[0][1] if lines else verified_record(Path(path).read_bytes())
+    if header is not None and header.get("version") != CHECKPOINT_VERSION:
+        raise SurveyFormatError(
+            path,
+            f"unsupported checkpoint version: {header.get('version')!r}",
+        )
+    if not lines:
+        raise SurveyFormatError(path, "checkpoint header is torn or corrupt")
+    return lines
+
+
+def cut_checkpoint_tail(
+    path: Union[str, Path],
+    lines: Sequence[bytes],
+    kind: str,
+    registry: MetricsRegistry,
+) -> bool:
+    """:func:`truncate_log` for a resumed checkpoint, counting a
+    dropped tail in ``checkpoint_repairs_total{kind}``."""
+    repaired = truncate_log(path, lines)
+    if repaired:
+        checkpoint_repair_counter(registry).labels(kind).inc()
+    return repaired

@@ -28,7 +28,6 @@ retry budget; the other tenants' plans (and bytes) are unaffected.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -36,11 +35,17 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.parallel import WorkerWatchdog
-from repro.core.survey import load_json_artifact
 from repro.faults.supervisor import CircuitBreaker, SupervisionConfig
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.status import CampaignStatusWriter
-from repro.probing.artifacts import atomic_write_text, embed_checksum
+from repro.probing.artifacts import (
+    SurveyFormatError,
+    append_text_line,
+    cut_checkpoint_tail,
+    read_checkpoint,
+    record_line,
+    start_checkpoint,
+)
 from repro.scenarios.internet import Scenario
 from repro.service.credits import CreditLedger, TenantQuota
 from repro.service.executor import make_unit_task, service_unit_body
@@ -71,13 +76,12 @@ __all__ = [
 ]
 
 CHECKPOINT_KIND = "service_checkpoint"
-CHECKPOINT_VERSION = 1
 
 
 class ServiceInterrupted(RuntimeError):
     """The daemon was killed mid-run (``kill_after_units`` test hook or
     an operator shutdown with work outstanding); the checkpoint and
-    streams are consistent and a ``resume=True`` run continues them."""
+    streams are consistent and ``restore()`` then ``run()`` continue them."""
 
     def __init__(
         self,
@@ -148,6 +152,14 @@ class MeasurementDaemon:
         self._units_this_run = 0
         self._started: Optional[float] = None
         self._status: Optional[CampaignStatusWriter] = None
+        #: The checkpoint log's header, its spec records by label and
+        #: last (rounds, balances); ``None`` until a log is started or
+        #: resumed.
+        self._header = {"kind": CHECKPOINT_KIND, "scenario": scenario.name,
+                        "seed": scenario.seed}
+        self._logged: Optional[Dict[str, dict]] = None
+        self._logged_totals: Optional[dict] = None
+        self._checkpoint_repairs = 0
         Path(config.stream_dir).mkdir(parents=True, exist_ok=True)
 
     # -- tenant isolation --------------------------------------------------
@@ -204,6 +216,14 @@ class MeasurementDaemon:
     def stream_path(self, spec: MeasurementSpec) -> Path:
         return Path(self.config.stream_dir) / spec.tenant / f"{spec.name}.jsonl"
 
+    def _open_stream(self, state: SpecState) -> None:
+        """Open (or recover) a spec's stream at its flushed units."""
+        spec = state.spec
+        state.stream = TenantStream.open(
+            self.stream_path(spec), spec.tenant, spec.name,
+            expect_records=state.next_unit,
+        )
+
     def submit(self, record: object) -> dict:
         """Admit or reject one submission; returns the machine-readable
         response. Thread-safe (the control server calls in)."""
@@ -220,12 +240,7 @@ class MeasurementDaemon:
                 return err.to_response()
             response, state = self.scheduler.submit(spec, self.scenario)
             if state is not None:
-                state.stream = TenantStream.open(
-                    self.stream_path(spec),
-                    spec.tenant,
-                    spec.name,
-                    expect_records=0,
-                )
+                self._open_stream(state)
             self._write_checkpoint()
             return response
 
@@ -332,93 +347,84 @@ class MeasurementDaemon:
     # -- checkpointing -----------------------------------------------------
 
     def _write_checkpoint(self) -> None:
+        """Append the rounds, balances and changed spec records as one
+        log line, if anything changed; a fresh daemon first starts the
+        log, replacing any old file."""
         path = self.config.checkpoint_path
         if path is None:
             return
-        record = {
-            "kind": CHECKPOINT_KIND,
-            "version": CHECKPOINT_VERSION,
-            "scenario": self.scenario.name,
-            "seed": self.scenario.seed,
-            "rounds": self.scheduler.rounds,
-            "balances": self.ledger.balances(),
-            "specs": [
-                state.to_record()
-                for state in self.scheduler.states_in_order()
-            ],
-        }
-        atomic_write_text(
-            path,
-            json.dumps(
-                embed_checksum(record), indent=2, sort_keys=True
-            )
-            + "\n",
-        )
+        if self._logged is None:
+            start_checkpoint(path, self._header)
+            self._logged = {}
+        specs = []
+        for state in self.scheduler.states_in_order():
+            record = state.to_record()
+            if self._logged.get(state.spec.label) != record:
+                self._logged[state.spec.label] = record
+                specs.append(record)
+        totals = {"rounds": self.scheduler.rounds,
+                  "balances": self.ledger.balances()}
+        if specs or totals != self._logged_totals:
+            self._logged_totals = totals
+            append_text_line(path, record_line(dict(totals, specs=specs)))
 
     def restore(self) -> bool:
-        """Restore checkpointed state now, before any submissions —
-        the serve-CLI resume path, where spec files re-passed on the
-        command line must dedup against checkpointed specs."""
-        with self._lock:
-            return self._restore_checkpoint()
+        """Restore checkpointed state before any submissions (so spec
+        files re-passed on a resume command line dedup against it).
 
-    def _restore_checkpoint(self) -> bool:
+        Folds the log's verified lines (spec records by key, last one
+        wins), checking each before any stream or the log's bad tail
+        is cut: a refused resume (:class:`SurveyFormatError` naming the
+        file and line) leaves every file as it found it.
+        """
         path = self.config.checkpoint_path
         if path is None or not Path(path).exists():
             return False
-        body = load_json_artifact(
-            path, kind=CHECKPOINT_KIND, registry=self._registry
-        )
-        if (
-            body.get("kind") != CHECKPOINT_KIND
-            or body.get("version") != CHECKPOINT_VERSION
-        ):
-            raise ValueError(f"{path}: not a service checkpoint")
-        if (
-            body.get("scenario") != self.scenario.name
-            or body.get("seed") != self.scenario.seed
-        ):
-            raise ValueError(
-                f"{path}: checkpoint belongs to scenario "
-                f"{body.get('scenario')!r} seed {body.get('seed')!r}, "
-                f"daemon is running {self.scenario.name!r} seed "
-                f"{self.scenario.seed!r}"
-            )
-        for index, record in enumerate(body.get("specs", ())):
-            try:
-                spec = parse_spec(record["spec"])
-                state = self.scheduler.restore_state(
-                    record, self.scenario, spec
+        with self._lock:
+            lines = read_checkpoint(path)
+            found = {key: lines[0][1].get(key) for key in self._header}
+            if found != self._header:
+                raise SurveyFormatError(
+                    path, f"checkpoint header {found} does not match "
+                    f"this daemon's {self._header}",
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: malformed spec record {index}: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            if state.status != REJECTED:
-                state.stream = TenantStream.open(
-                    self.stream_path(spec),
-                    spec.tenant,
-                    spec.name,
-                    expect_records=state.next_unit,
-                )
-                if state.status == DONE:
-                    state.stream.finalize()
-        self.ledger.restore(body.get("balances", {}))
-        self.scheduler.rounds = int(body.get("rounds", 0))
-        return True
+            for number, (_line, entry) in enumerate(lines[1:], start=2):
+                try:
+                    self.scheduler.rounds = int(entry["rounds"])
+                    self.ledger.restore(entry["balances"])
+                    for record in entry["specs"]:
+                        self.scheduler.restore_state(
+                            record, self.scenario, parse_spec(record["spec"])
+                        )
+                except (
+                    AttributeError, KeyError, TypeError, ValueError
+                ) as exc:
+                    raise SurveyFormatError(
+                        path,
+                        f"malformed checkpoint line {number}: "
+                        f"{type(exc).__name__}: {exc}",
+                    ) from exc
+            for state in self.scheduler.states_in_order():
+                if state.status != REJECTED:
+                    self._open_stream(state)
+                    if state.status == DONE:
+                        state.stream.finalize()
+            self._checkpoint_repairs = int(cut_checkpoint_tail(
+                path, [line for line, _body in lines], "service",
+                self._registry,
+            ))
+            # The next line restates every spec once.
+            self._logged, self._logged_totals = {}, None
+            return True
 
     # -- the run loop ------------------------------------------------------
 
-    def run(self, resume: bool = False) -> dict:
+    def run(self) -> dict:
         """Serve until all specs are terminal (or shutdown/kill); returns
         the manifest. Raises :class:`ServiceInterrupted` on a kill."""
         config = self.config
         self._started = time.monotonic()
         self._units_this_run = 0
-        if resume:
-            with self._lock:
-                self._restore_checkpoint()
         self._status = (
             CampaignStatusWriter(
                 config.status_path, config.status_interval
@@ -595,6 +601,7 @@ class MeasurementDaemon:
                 s.next_unit for s in self.scheduler.specs.values()
             ),
             "balances": self.ledger.balances(),
+            "checkpoint_repairs": self._checkpoint_repairs,
             "quality": {
                 tenant: dict(totals)
                 for tenant, totals in sorted(

@@ -1,5 +1,6 @@
 """The multi-tenant measurement service: admission, credits, fair-share
-scheduling, streams, daemon determinism, control socket, CLI.
+scheduling, streams, daemon determinism, checkpoint log, control
+socket, CLI.
 
 The load-bearing properties pinned here:
 
@@ -11,6 +12,9 @@ The load-bearing properties pinned here:
 * mid-campaign credit exhaustion *pauses* a spec without corrupting
   its stream, and accrual later resumes it to completion;
 * resume restores credit balances exactly as checkpointed;
+* the checkpoint is an append-only log whose fold equals the whole
+  state at every write; a resume drops (and counts) a torn or corrupt
+  tail, and refuses a bad header or entry without touching any file;
 * stream recovery drops torn tails and re-seals deterministically,
   while strict loads refuse tampered bytes;
 * the status renderer tolerates legacy / partial snapshots.
@@ -18,16 +22,28 @@ The load-bearing properties pinned here:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import socket
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.metrics import MetricsRegistry
+from repro.probing.artifacts import (
+    CHECKPOINT_VERSION,
+    SurveyFormatError,
+    checkpoint_repair_counter,
+    embed_checksum,
+    record_line,
+    verified_prefix,
+    verified_record,
+)
 from repro.obs.status import render_status
 from repro.scenarios.presets import get_preset
 from repro.scenarios.service import demo_quota, demo_spec_records
@@ -345,15 +361,14 @@ def test_kill_resume_is_byte_identical_and_restores_balances(tmp_path):
     with pytest.raises(ServiceInterrupted):
         daemon.run()
 
-    checkpoint = json.loads(
-        (workdir / "service.ckpt").read_text("utf-8")
-    )
+    last = verified_prefix(workdir / "service.ckpt")[-1][1]
     resumed = MeasurementDaemon(
         _scenario(), _config(workdir), registry=_registry()
     )
     assert resumed.restore() is True
-    # Balances come back exactly as checkpointed — not re-derived.
-    assert resumed.ledger.balances() == checkpoint["balances"]
+    # Balances come back exactly as the log's last line holds them —
+    # not re-derived.
+    assert resumed.ledger.balances() == last["balances"]
     # The rejected spec stays rejected without being re-admitted.
     flood = resumed.scheduler.specs[("carol", "flood")]
     assert flood.status == REJECTED
@@ -661,42 +676,293 @@ def test_checkpoint_rejects_wrong_scenario(tmp_path):
 
 
 def test_checkpoint_rejects_tamper(tmp_path):
+    """A tampered entry line fails its checksum: it is dropped, its
+    balance is never restored and the repair is counted. A tampered
+    header still refuses the resume."""
     daemon = MeasurementDaemon(
         _scenario(), _config(tmp_path), registry=_registry()
     )
     daemon.submit(SPECS[0])
     path = tmp_path / "service.ckpt"
-    body = json.loads(path.read_text("utf-8"))
-    body["balances"]["alice"]["balance"] = 1e9
-    path.write_text(json.dumps(body), "utf-8")
+    header, entry = path.read_text("utf-8").splitlines()
+    body = json.loads(entry)
+    body["balances"]["alice"]["balance"] = 1e9  # keeps the old sha256
+    path.write_text(
+        header + "\n" + json.dumps(body, sort_keys=True) + "\n", "utf-8"
+    )
+    registry = _registry()
+    fresh = MeasurementDaemon(
+        _scenario(), _config(tmp_path), registry=registry
+    )
+    assert fresh.restore() is True
+    assert "alice" not in fresh.ledger.balances()
+    assert fresh.scheduler.specs == {}
+    assert checkpoint_repair_counter(registry).labels("service").value == 1
+    assert path.read_text("utf-8") == header + "\n"
+    assert fresh.run()["checkpoint_repairs"] == 1
+
+    tampered = json.loads(header)
+    tampered["seed"] = 8
+    path.write_text(json.dumps(tampered, sort_keys=True) + "\n", "utf-8")
     fresh = MeasurementDaemon(
         _scenario(), _config(tmp_path), registry=_registry()
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(SurveyFormatError, match="header is torn"):
         fresh.restore()
 
 
 def test_checkpoint_errors_name_the_file(tmp_path):
+    """Each unusable checkpoint raises naming the file (and the line),
+    and a refused resume leaves the log and every stream as it found
+    them — here a stream holding a record past the log, which an
+    accepted resume would cut."""
     daemon = MeasurementDaemon(
-        _scenario(), _config(tmp_path), registry=_registry()
+        _scenario(), _config(tmp_path, kill_after_units=2),
+        registry=_registry(),
     )
-    daemon.submit(SPECS[0])
+    for record in SPECS:
+        daemon.submit(record)
+    with pytest.raises(ServiceInterrupted):
+        daemon.run()
+    streams = sorted((tmp_path / "streams").rglob("*.jsonl"))
+    victim = next(p for p in streams if p.stat().st_size > 0)
+    with open(victim, "a", encoding="utf-8") as fh:
+        fh.write(victim.read_text("utf-8").splitlines()[0] + "\n")
+    stream_bytes = {p: p.read_bytes() for p in streams}
+
     path = tmp_path / "service.ckpt"
-    text = path.read_text("utf-8")
-    body = json.loads(text)
-    body.pop("sha256")
-    del body["specs"][0]["spec"]
+    log = path.read_text("utf-8")
+    bad = len(log.splitlines()) + 1  # the number of an appended line
+    last = verified_record(log.splitlines()[-1])
+
+    def appended(mutate) -> str:
+        body = copy.deepcopy(last)
+        mutate(body)
+        return log + record_line(body) + "\n"
+
     for content, needle in [
-        (text[:60], "invalid JSON"),  # truncated mid-write
-        (json.dumps(body), "malformed spec record 0: KeyError"),
+        (log[:60], "checkpoint header is torn or corrupt"),
+        (
+            record_line({"version": CHECKPOINT_VERSION, "fingerprint": "f"})
+            + "\n",
+            "does not match",  # a campaign checkpoint
+        ),
+        (
+            appended(lambda body: body["specs"].append({"seq": 9})),
+            f"malformed checkpoint line {bad}: KeyError: 'spec'",
+        ),
+        (
+            appended(lambda body: body["balances"]["alice"].pop("balance")),
+            f"malformed checkpoint line {bad}: KeyError: 'balance'",
+        ),
+        (
+            appended(lambda body: body.update(balances=[1.0, 2.0])),
+            f"malformed checkpoint line {bad}: AttributeError",
+        ),
+        (
+            appended(lambda body: body.update(rounds="x")),
+            f"malformed checkpoint line {bad}: ValueError",
+        ),
     ]:
         path.write_text(content, "utf-8")
         fresh = MeasurementDaemon(
             _scenario(), _config(tmp_path), registry=_registry()
         )
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(SurveyFormatError) as err:
             fresh.restore()
         assert str(path) in str(err.value) and needle in str(err.value)
+        assert path.read_text("utf-8") == content
+        assert {p: p.read_bytes() for p in streams} == stream_bytes
+
+
+def _fold(path: Path) -> dict:
+    """The state a checkpoint log holds: its header, spec records by
+    label (last one wins), rounds and balances from the last line."""
+    lines = [body for _line, body in verified_prefix(path)]
+    state = dict(lines[0], rounds=0, balances={}, specs={})
+    for entry in lines[1:]:
+        state.update(rounds=entry["rounds"], balances=entry["balances"])
+        for record in entry["specs"]:
+            spec = record["spec"]
+            state["specs"][f"{spec['tenant']}/{spec['name']}"] = record
+    state["specs"] = list(state["specs"].values())
+    return state
+
+
+def _whole_record(daemon: MeasurementDaemon) -> dict:
+    """The whole-file record a checkpoint used to rewrite on each
+    write, at the log's version."""
+    return {
+        "kind": "service_checkpoint",
+        "version": CHECKPOINT_VERSION,
+        "scenario": daemon.scenario.name,
+        "seed": daemon.scenario.seed,
+        "rounds": daemon.scheduler.rounds,
+        "balances": daemon.ledger.balances(),
+        "specs": [
+            state.to_record()
+            for state in daemon.scheduler.states_in_order()
+        ],
+    }
+
+
+def test_checkpoint_fold_equals_whole_state(tmp_path):
+    """After every checkpoint write, of a killed run and of its
+    resume, folding the log gives the whole state."""
+    path = tmp_path / "service.ckpt"
+    writes = []
+
+    def checked(daemon: MeasurementDaemon) -> MeasurementDaemon:
+        write = daemon._write_checkpoint
+
+        def write_and_fold() -> None:
+            write()
+            writes.append(path.stat().st_size)
+            assert _fold(path) == _whole_record(daemon)
+
+        daemon._write_checkpoint = write_and_fold
+        return daemon
+
+    daemon = checked(MeasurementDaemon(
+        _scenario(), _config(tmp_path, kill_after_units=2),
+        registry=_registry(),
+    ))
+    for record in SPECS:
+        daemon.submit(record)
+    with pytest.raises(ServiceInterrupted):
+        daemon.run()
+    killed = len(writes)
+    resumed = checked(MeasurementDaemon(
+        _scenario(), _config(tmp_path), registry=_registry()
+    ))
+    assert resumed.restore() is True
+    for record in SPECS:
+        resumed.submit(record)
+    assert resumed.run()["state"] == "done"
+    assert killed >= len(SPECS) + 2 and len(writes) > killed
+
+
+def test_checkpoint_appends_in_place(tmp_path):
+    """A run writes the header plus at most one line per submission,
+    flushed unit and round, plus one at run end; a clean resume
+    appends to the killed log in place and repairs nothing."""
+    _responses, manifest = _run_daemon(tmp_path / "full")
+    lines = verified_prefix(tmp_path / "full" / "service.ckpt")
+    assert len(lines) <= (
+        1 + len(SPECS) + manifest["units_flushed"] + manifest["rounds"] + 1
+    )
+    assert (tmp_path / "full" / "service.ckpt").read_bytes() == b"".join(
+        line + b"\n" for line, _body in lines
+    )
+
+    workdir = tmp_path / "killed"
+    daemon = MeasurementDaemon(
+        _scenario(), _config(workdir, kill_after_units=3),
+        registry=_registry(),
+    )
+    for record in SPECS:
+        daemon.submit(record)
+    with pytest.raises(ServiceInterrupted):
+        daemon.run()
+    path = workdir / "service.ckpt"
+    killed, inode = path.read_bytes(), path.stat().st_ino
+    assert len(killed.splitlines()) == 1 + len(SPECS) + 3
+    resumed = MeasurementDaemon(
+        _scenario(), _config(workdir), registry=_registry()
+    )
+    resumed.restore()
+    for record in SPECS:
+        resumed.submit(record)
+    manifest = resumed.run()
+    assert manifest["checkpoint_repairs"] == 0
+    assert path.read_bytes().startswith(killed)
+    assert path.stat().st_ino == inode
+    assert _fold(path) == _whole_record(resumed)
+
+
+class TestKillTearResume:
+    """Kill the daemon after k units, optionally tear the checkpoint
+    log's last line or corrupt an entry line, then resume: the streams
+    equal an uninterrupted run's, the restored state is the fold of
+    the surviving lines, the repair is counted exactly when a line was
+    dropped, and every line left on disk verifies."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            _responses, manifest = _run_daemon(Path(tmp))
+            return manifest["units_flushed"], _stream_hashes(
+                Path(tmp) / "streams"
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kill=st.integers(1, 4),
+        tear=st.sampled_from(["none", "cut", "flip"]),
+        where=st.integers(0, 2**20),
+    )
+    @example(kill=3, tear="cut", where=8)  # CI's torn last line
+    @example(kill=2, tear="cut", where=0)  # only the newline is gone
+    @example(kill=3, tear="flip", where=0)  # corrupt first entry line
+    def test_random_kill_tear_resume(self, baseline, kill, tear, where):
+        units, expect = baseline
+        assert kill < units
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = tmp / "service.ckpt"
+            daemon = MeasurementDaemon(
+                _scenario(), _config(tmp, kill_after_units=kill),
+                registry=_registry(),
+            )
+            for record in SPECS:
+                daemon.submit(record)
+            with pytest.raises(ServiceInterrupted):
+                daemon.run()
+            log = path.read_bytes()
+            lines = log.splitlines(keepends=True)
+            if tear == "cut":
+                # Cut inside the last line; cutting all of it leaves a
+                # clean log one entry shorter.
+                log = log[: -(1 + where % len(lines[-1]))]
+            elif tear == "flip":
+                # Flip a bit in an entry line, newline excluded.
+                line = 1 + where % (len(lines) - 1)
+                offset = sum(map(len, lines[:line])) + (
+                    where // len(lines) % (len(lines[line]) - 1)
+                )
+                log = (
+                    log[:offset] + bytes([log[offset] ^ 1])
+                    + log[offset + 1:]
+                )
+            path.write_bytes(log)
+            dropped = not log.endswith(b"\n") or tear == "flip"
+            survivors = _fold(path)
+
+            registry = _registry()
+            resumed = MeasurementDaemon(
+                _scenario(), _config(tmp), registry=registry
+            )
+            assert resumed.restore() is True
+            assert resumed.scheduler.rounds == survivors["rounds"]
+            assert resumed.ledger.balances() == survivors["balances"]
+            assert [
+                state.to_record()
+                for state in resumed.scheduler.states_in_order()
+            ] == survivors["specs"]
+            for record in SPECS:
+                resumed.submit(record)
+            manifest = resumed.run()
+            assert manifest["state"] == "done"
+            assert _stream_hashes(tmp / "streams") == expect
+            assert manifest["checkpoint_repairs"] == int(dropped)
+            assert checkpoint_repair_counter(registry).labels(
+                "service"
+            ).value == int(dropped)
+            log = path.read_bytes()
+            assert log.endswith(b"\n")
+            for line in log.splitlines():
+                assert verified_record(line) is not None
+            assert _fold(path) == _whole_record(resumed)
 
 
 # -- status rendering (satellite: legacy tolerance) ------------------------
@@ -842,3 +1108,47 @@ def test_cli_serve_kill_then_resume_matches(tmp_path, capsys):
     assert main(killed + ["--resume"]) == 0
     capsys.readouterr()
     assert _stream_hashes(tmp_path / "killed") == baseline
+
+
+def test_cli_serve_bad_checkpoint_exits_2(tmp_path, capsys):
+    """``serve --resume`` reports an unusable checkpoint on stderr and
+    exits 2, as ``chaos`` does, leaving the file as it was."""
+    from repro.cli import EXIT_INTERRUPTED, main
+
+    spec_file = tmp_path / "specs.json"
+    spec_file.write_text(json.dumps(SPECS[:3]), "utf-8")
+    ck = tmp_path / "ckpt.log"
+    args = [
+        "serve", "--preset", "tiny", "--spec", str(spec_file),
+        "--max-probes-per-spec", "200",
+        "--stream-dir", str(tmp_path / "streams"), "--checkpoint", str(ck),
+    ]
+    assert main(args + ["--seed", "7", "--kill-after-units", "2"]) == (
+        EXIT_INTERRUPTED
+    )
+    log = ck.read_text("utf-8")
+    last = verified_record(log.splitlines()[-1])
+    v1 = embed_checksum({
+        "kind": "service_checkpoint", "version": 1, "scenario": "tiny",
+        "seed": 7, "rounds": 0, "balances": {}, "specs": [],
+    })
+    bad = len(log.splitlines()) + 1
+    for content, seed, reason in [
+        (log[:60], 7, "checkpoint header is torn or corrupt"),
+        (log, 8, "checkpoint header {'kind': 'service_checkpoint', "),
+        (
+            json.dumps(v1, indent=2, sort_keys=True) + "\n", 7,
+            "unsupported checkpoint version: 1\n",
+        ),
+        (
+            log + record_line(dict(last, balances=[1.0])) + "\n", 7,
+            f"malformed checkpoint line {bad}: AttributeError",
+        ),
+    ]:
+        ck.write_text(content, "utf-8")
+        capsys.readouterr()
+        assert main(args + ["--seed", str(seed), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert f"serve: {ck}: {reason}" in err
+        assert "Traceback" not in err
+        assert ck.read_text("utf-8") == content

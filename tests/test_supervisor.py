@@ -604,8 +604,8 @@ class TestCheckpointIntegrity:
     def test_corrupt_newest_auto_repaired(
         self, world, targets, vp_list, tmp_path
     ):
-        from repro.faults.campaign import checkpoint_repair_counter
         from repro.obs.metrics import REGISTRY
+        from repro.probing.artifacts import checkpoint_repair_counter
 
         baseline = _survey_bytes(
             CampaignRunner(world).run(
@@ -616,9 +616,7 @@ class TestCheckpointIntegrity:
         ck = tmp_path / "camp.ckpt"
         self._interrupted(world, targets, vp_list, ck)
         ck.write_bytes(ck.read_bytes()[:-9])  # torn final line
-        repairs = checkpoint_repair_counter(REGISTRY).labels(
-            world.network.net_id
-        )
+        repairs = checkpoint_repair_counter(REGISTRY).labels("campaign")
         before = repairs.value
         resumed = CampaignRunner(
             world, checkpoint_path=ck,
