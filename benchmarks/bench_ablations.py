@@ -61,10 +61,8 @@ def test_ablation_probe_order(benchmark, study_2016, write_artifact):
         ordered = order_destinations(
             sample, order, seed=scenario.seed, salt="ablation"
         )
-        results = scenario.prober.batch_ping_rr(
-            vp, [dest.addr for dest in ordered], pps=100.0
-        )
-        return sum(1 for result in results if result.rr_responsive)
+        rows = scenario.prober.probe_batch_rows(vp, ordered, pps=100.0)
+        return sum(1 for _dest, outcome in rows if outcome.rr_responsive)
 
     random_count = benchmark.pedantic(
         run, args=(ProbeOrder.RANDOM,), rounds=1, iterations=1
@@ -143,12 +141,12 @@ def test_ablation_ttl_budget(benchmark, study_2016, write_artifact):
     vp_index = survey.vp_indices(include_filtered=False)[0]
     vp = survey.vps[vp_index]
     near = survey.reachable_from_vp(vp_index)[:60]
-    dests = [survey.dests[index].addr for index in near]
+    dests = [survey.dests[index] for index in near]
 
     def respond_rate(ttl):
-        results = scenario.prober.batch_ping_rr(vp, dests, ttl=ttl)
-        return sum(1 for result in results if result.responded) / len(
-            results
+        rows = scenario.prober.probe_batch_rows(vp, dests, ttl=ttl)
+        return sum(1 for _dest, outcome in rows if outcome.responded) / len(
+            rows
         )
 
     limited = benchmark.pedantic(

@@ -151,7 +151,7 @@ def calibrate_rates(
         if len(responsive) > sample_size
         else list(responsive)
     )
-    sample = [survey.dests[index].addr for index in sample_indices]
+    sample = [survey.dests[index] for index in sample_indices]
     vp_list = list(survey.vps) if vps is None else list(vps)
 
     for vp in vp_list:
@@ -161,8 +161,10 @@ def calibrate_rates(
             ordered = list(sample)
             stable_rng(scenario.seed, "adaptive-order", vp.name,
                        rate).shuffle(ordered)
-            results = scenario.prober.batch_ping_rr(vp, ordered, pps=rate)
-            responses = sum(1 for r in results if r.rr_responsive)
+            rows = scenario.prober.probe_batch_rows(vp, ordered, pps=rate)
+            responses = sum(
+                1 for _dest, outcome in rows if outcome.rr_responsive
+            )
             calibration.observations[rate] = (responses, len(ordered))
         baseline = calibration.response_rate(rates[-1])
         if baseline < min_baseline:

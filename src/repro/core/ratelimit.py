@@ -114,11 +114,9 @@ def run_rate_limit_study(
                 seed=scenario.seed,
                 salt=(vp.name, rate),
             )
-            results = prober.batch_ping_rr(
-                vp, [dest.addr for dest in ordered], pps=rate
-            )
+            rows = prober.probe_batch_rows(vp, ordered, pps=rate)
             counts[rate] = sum(
-                1 for result in results if result.rr_responsive
+                1 for _dest, outcome in rows if outcome.rr_responsive
             )
         row = VpRateRow(
             vp_name=vp.name,

@@ -488,12 +488,15 @@ def probe_vp_rr(
                     degraded_family = rr_degradation_counter(
                         network.registry
                     )
-                    for dest, reason in invalid.values():
-                        if heartbeat is not None:
-                            heartbeat()
-                        result = scenario.prober.ping(
-                            vp, dest.addr, count=1, pps=pps
-                        )
+                    # No batch when nothing degrades: an empty one would
+                    # still register the ping metrics.
+                    pings = scenario.prober.probe_batch_ping(
+                        vp, [dest for dest, _ in invalid.values()],
+                        count=1, pps=pps, heartbeat=heartbeat,
+                    ) if invalid else []
+                    for (dest, reason), result in zip(
+                        invalid.values(), pings
+                    ):
                         quality["degraded"].append({
                             "vp": vp.name,
                             "dest": dest.addr,

@@ -7,9 +7,7 @@ Every measurement the paper issues exists here as a method:
   configurable initial TTL (§4.2) and slot count;
 * :meth:`Prober.ping_rr_udp` — UDP to a high port with RR enabled, to
   harvest quoted headers from port-unreachable errors (§3.3);
-* :meth:`Prober.traceroute` — one ICMP probe per TTL (§3.5, §3.6);
-* :meth:`Prober.batch_ping_rr` — a paced batch at a chosen pps, the
-  unit of §4.1's rate-limiting experiments.
+* :meth:`Prober.traceroute` — one ICMP probe per TTL (§3.5, §3.6).
 
 Probes are serialised to real packet bytes and replies parsed back
 from bytes, so the wire formats in :mod:`repro.net` are exercised by
@@ -19,6 +17,10 @@ every single measurement. Pacing advances the simulated clock by
 A locally-filtered VP (site firewall drops options packets) sends
 plain pings fine but gets nothing back for any probe carrying options
 — the paper's "filtered locally" case.
+
+Surveys and experiments probe in batches: :meth:`Prober.probe_batch_rows`
+(ping-RR) and :meth:`Prober.probe_batch_ping` (ping) replay one VP's
+sequence through compiled stamp plans, a paced batch at a chosen pps.
 """
 
 from __future__ import annotations
@@ -74,30 +76,28 @@ _GAP_LIMIT = 6
 #: at many networks would otherwise grow the cache without limit.
 _MX_CACHE_MAX = 64
 
-#: The shared outcome for every probe a locally-filtered VP "sends":
-#: the site firewall eats it before the network sees anything, so no
-#: counter moves and no draw is consumed (the legacy early return).
-_FILTERED_OUTCOME = Outcome()
+#: The shared outcome of a probe that never reaches the network. A
+#: locally-filtered VP's site firewall eats every options probe it
+#: "sends", so no counter moves and no draw is consumed (the walk's
+#: early return).
+_SILENT = Outcome()
 
 
-def _outcome_from_result(result: RRPingResult) -> Outcome:
-    """Adapt a legacy :class:`RRPingResult` to the batch row shape.
+def _walk_rr(prober, vp, addr, slots, ttl, count, pps) -> Outcome:
+    """One ping-RR walked hop-by-hop, in the replay's outcome shape.
 
-    A probe :meth:`Prober._resolve_targets` pairs with ``None`` walks
-    hop-by-hop; this wraps its result so survey code consumes one
+    A probe :meth:`Prober._resolve_targets` pairs with ``None`` walks;
+    wrapping its :class:`RRPingResult` lets survey code consume one
     shape. Counters were already incremented inline by the walk, so
     the outcome carries none.
     """
+    result = prober.ping_rr(vp, addr, slots=slots, ttl=ttl, pps=pps)
     inprefix: List[int] = []
     seen = set()
-    for addr in result.rr_hops:
-        if (
-            addr != result.dst
-            and addr not in seen
-            and same_slash24(addr, result.dst)
-        ):
-            seen.add(addr)
-            inprefix.append(addr)
+    for hop in result.rr_hops:
+        if hop != addr and hop not in seen and same_slash24(hop, addr):
+            seen.add(hop)
+            inprefix.append(hop)
     return Outcome(
         responded=result.responded,
         reply_has_rr=result.reply_has_rr,
@@ -108,6 +108,33 @@ def _outcome_from_result(result: RRPingResult) -> Outcome:
         error_source=result.error_source,
         quoted=tuple(result.quoted_rr_hops),
     )
+
+
+def _walk_ping(prober, vp, addr, slots, ttl, count, pps) -> PingResult:
+    return prober.ping(vp, addr, count=count, pps=pps)
+
+
+class _Kind:
+    """One replayable probe kind: what the replay loop reads of it.
+
+    ``code`` keys its templates (``KIND_RR`` or ``KIND_PING``),
+    ``ptype`` labels its metrics and span events, ``options`` says
+    whether it carries an IP option (which a locally-filtered VP's
+    firewall eats), and ``walk`` sends one target's probes hop-by-hop
+    and returns the kind's own result.
+    """
+
+    __slots__ = ("code", "ptype", "options", "walk")
+
+    def __init__(self, code: int, ptype: str, options: bool, walk) -> None:
+        self.code = code
+        self.ptype = ptype
+        self.options = options
+        self.walk = walk
+
+
+_RR = _Kind(KIND_RR, "rr", True, _walk_rr)
+_PING = _Kind(KIND_PING, "ping", False, _walk_ping)
 
 
 class _ProbeMetrics:
@@ -519,56 +546,79 @@ class Prober:
 
     # -- batched dataplane -------------------------------------------------
 
-    def _batch_rr(
+    def _replay(
         self,
         vp: VantagePoint,
+        kind: _Kind,
         targets: Sequence[Tuple[int, Optional[Destination]]],
         slots: int,
         ttl: int,
+        count: int,
         pps: Optional[float],
         heartbeat: Optional[Callable[[], None]],
-    ) -> List[Outcome]:
-        """Replay one VP's ping-RR sequence through compiled plans.
+    ) -> Tuple[list, list, list, list]:
+        """Replay one VP's probes of one kind through compiled plans.
 
         ``targets`` comes from :meth:`_resolve_targets`: an address
         paired with its hitlist ``Destination`` replays that plan, one
-        paired with ``None`` walks hop-by-hop. Every replayed probe
-        consumes exactly the clock advance, token-bucket draws, and
-        loss-stream draws the walk would, in the same order, so mixing
-        replayed and walked probes within one batch cannot shift a
-        single byte.
+        paired with ``None`` walks hop-by-hop (``kind.walk``). Each
+        target gets up to ``count`` attempts and stops at the first
+        response. Every replayed probe consumes exactly the clock
+        advance, token-bucket draws, and loss-stream draws the walk
+        would, in the same order, so mixing replayed and walked probes
+        within one batch cannot shift a single byte.
+
+        Returns four lists, ``(outcomes, sents, ats, plans)``, with one
+        entry per target: the last attempt's outcome, the attempts
+        sent, the clock after the last one and its plan. A target that
+        never replays (walked, or eaten by a locally-filtered VP's
+        firewall) has the kind's own result as its outcome and ``None``
+        in the other three. Parallel lists rather than a row tuple per
+        target keep ping-RR's hot loop at appends.
 
         Counters, ident/seq draws, and per-AS options load are folded
         into one add per batch in a ``finally`` block: a supervision
         heartbeat raising mid-batch (injected hangs) leaves exactly the
-        completed probes' state behind, as the legacy loop would.
+        completed probes' state behind, as the walk would.
         """
-        network = self.network
-        out: List[Outcome] = []
-        if vp.local_filtered:
-            for _ in targets:
+        if kind.options and vp.local_filtered:
+            for _target in targets:
                 if heartbeat is not None:
                     heartbeat()
-                out.append(_FILTERED_OUTCOME)
-            return out
+            none = [None] * len(targets)
+            return [_SILENT] * len(targets), none, none, none
+        network = self.network
+        outcomes: list = []
+        sents: list = []
+        ats: list = []
+        used: list = []
+        out_append = outcomes.append
+        sent_append = sents.append
+        at_append = ats.append
+        used_append = used.append
         src_asn = vp.addr >> 16
-        metrics = self._metrics_for("rr")
+        metrics = self._metrics_for(kind.ptype)
         clock = network.clock
         injector = network._injector
         lost = network._lost
         rtt_observe = metrics.rtt.observe
-        out_append = out.append
         dt = 1.0 / (self.default_pps if pps is None else pps)
         span_on = bool(self.span_sample) and _TRACER.enabled
         plans = network._plans
-        base_key = (KIND_RR, slots, ttl, None)
+        code = kind.code
+        base_key = (code, slots, ttl, None)
+        walk = kind.walk
+        attempts = range(1, count + 1)
         n = replied_n = plan_hits = 0
         counts: dict = {}
+        # A replayed target's values; with no attempts (count < 1)
+        # every one keeps these.
+        sent, outcome, plan = 0, _SILENT, None
         # The sim clock stays in a local for the whole batch (same
         # float additions as SimClock.advance, so bit-equal times) and
-        # is written back around fallback probes and in the finally:
-        # an exception mid-batch leaves the clock exactly where the
-        # legacy per-probe loop would have.
+        # is written back around walked probes and in the finally: an
+        # exception mid-batch leaves the clock exactly where the walk
+        # would have.
         now = clock.now
         try:
             for addr, dest in targets:
@@ -576,120 +626,17 @@ class Prober:
                     heartbeat()
                 if dest is None:
                     clock._now = now
-                    out_append(_outcome_from_result(
-                        self.ping_rr(vp, addr, slots=slots, ttl=ttl, pps=pps)
-                    ))
+                    out_append(walk(self, vp, addr, slots, ttl, count, pps))
                     now = clock.now
+                    sent_append(None)
+                    at_append(None)
+                    used_append(None)
                     continue
-                start = now
-                now += dt
-                n += 1
                 key = (src_asn, addr)
-                plan = plans.get(key)
-                if plan is None:
-                    plan = network._plan_miss(key, src_asn, dest)
-                else:
-                    plan_hits += 1
-                    plans.move_to_end(key)
-                if injector is None:
-                    tkey = base_key
-                else:
-                    flapset = injector.active_flap_edges(now)
-                    tkey = (KIND_RR, slots, ttl, flapset or None)
-                if tkey == plan.fast_key:
-                    template = plan.fast_tpl
-                else:
-                    template = plan.template(
-                        network, KIND_RR, slots, ttl, tkey[3]
-                    )
-                outcome = template.final
-                ops = template.ops
-                if ops:
-                    for op in ops:
-                        router = op[0]
-                        if router is None:
-                            if lost():
-                                outcome = op[3]
-                                break
-                        else:
-                            limiter = op[2]
-                            if limiter is None:
-                                limiter = network._limiter_of(router, op[1])
-                                op[2] = limiter
-                            if not limiter.allow(now):
-                                outcome = op[3]
-                                break
-                counts[outcome] = counts.get(outcome, 0) + 1
-                if outcome.replied:
-                    replied_n += 1
-                    rtt_observe(now - start)
-                if span_on:
-                    self._span_seen += 1
-                    if self._span_seen >= self.span_sample:
-                        self._span_seen = 0
-                        _TRACER.event(
-                            "probe",
-                            sim=now,
-                            ptype="rr",
-                            dst=addr,
-                            replied=outcome.replied,
-                        )
-                out_append(outcome)
-        finally:
-            clock._now = now
-            if n:
-                self._fold(
-                    metrics, network, counts,
-                    n, replied_n, plan_hits,
-                )
-        return out
-
-    def _batch_ping(
-        self,
-        vp: VantagePoint,
-        targets: Sequence[Tuple[int, Optional[Destination]]],
-        count: int,
-        pps: Optional[float],
-        heartbeat: Optional[Callable[[], None]],
-    ) -> List[PingResult]:
-        """Replay plain-ping rounds (count attempts, early stop) through
-        compiled plans; see :meth:`_batch_rr` for the parity contract."""
-        network = self.network
-        out: List[PingResult] = []
-        src_asn = vp.addr >> 16
-        metrics = self._metrics_for("ping")
-        clock = network.clock
-        injector = network._injector
-        lost = network._lost
-        rtt_observe = metrics.rtt.observe
-        dt = 1.0 / (self.default_pps if pps is None else pps)
-        span_on = bool(self.span_sample) and _TRACER.enabled
-        plans = network._plans
-        base_key = (KIND_PING, 0, DEFAULT_TTL, None)
-        n = replied_n = plan_hits = 0
-        counts: dict = {}
-        # Local sim clock, as in _batch_rr: synced around fallbacks
-        # and in the finally so partial batches match the legacy loop.
-        now = clock.now
-        try:
-            for addr, dest in targets:
-                if heartbeat is not None:
-                    heartbeat()
-                if dest is None:
-                    clock._now = now
-                    out.append(self.ping(vp, addr, count=count, pps=pps))
-                    now = clock.now
-                    continue
-                sent = 0
-                replies = 0
-                reply_ident: Optional[int] = None
-                reply_time: Optional[float] = None
-                for _attempt in range(count):
+                for sent in attempts:
                     start = now
                     now += dt
-                    sent += 1
                     n += 1
-                    key = (src_asn, addr)
                     plan = plans.get(key)
                     if plan is None:
                         plan = network._plan_miss(key, src_asn, dest)
@@ -700,12 +647,12 @@ class Prober:
                         tkey = base_key
                     else:
                         flapset = injector.active_flap_edges(now)
-                        tkey = (KIND_PING, 0, DEFAULT_TTL, flapset or None)
+                        tkey = (code, slots, ttl, flapset or None)
                     if tkey == plan.fast_key:
                         template = plan.fast_tpl
                     else:
                         template = plan.template(
-                            network, KIND_PING, 0, DEFAULT_TTL, tkey[3]
+                            network, code, slots, ttl, tkey[3]
                         )
                     outcome = template.final
                     ops = template.ops
@@ -737,23 +684,16 @@ class Prober:
                             _TRACER.event(
                                 "probe",
                                 sim=now,
-                                ptype="ping",
+                                ptype=kind.ptype,
                                 dst=addr,
                                 replied=outcome.replied,
                             )
                     if outcome.responded:
-                        replies = 1
-                        reply_ident = plan.host.ipid(now)
-                        reply_time = now
                         break
-                out.append(PingResult(
-                    vp_name=vp.name,
-                    dst=addr,
-                    sent=sent,
-                    replies=replies,
-                    reply_ident=reply_ident,
-                    reply_time=reply_time,
-                ))
+                out_append(outcome)
+                sent_append(sent)
+                at_append(now)
+                used_append(plan)
         finally:
             clock._now = now
             if n:
@@ -761,7 +701,7 @@ class Prober:
                     metrics, network, counts,
                     n, replied_n, plan_hits,
                 )
-        return out
+        return outcomes, sents, ats, used
 
     def _fold(
         self,
@@ -863,7 +803,9 @@ class Prober:
         and never perturbs counters.
         """
         targets = self._resolve_targets(vp, (dest.addr for dest in dests))
-        outcomes = self._batch_rr(vp, targets, slots, ttl, pps, heartbeat)
+        outcomes = self._replay(
+            vp, _RR, targets, slots, ttl, 1, pps, heartbeat
+        )[0]
         pairs = list(zip(dests, outcomes))
         injector = self.network._injector
         if injector is not None and injector.has_misbehavior:
@@ -878,51 +820,27 @@ class Prober:
         pps: Optional[float] = None,
         heartbeat: Optional[Callable[[], None]] = None,
     ) -> List[PingResult]:
-        """Batched plain-ping rounds over hitlist destinations."""
+        """Batched plain-ping rounds over hitlist destinations: up to
+        ``count`` Echo Requests each, stopping at the first reply."""
         targets = self._resolve_targets(vp, (dest.addr for dest in dests))
-        return self._batch_ping(vp, targets, count, pps, heartbeat)
-
-    # -- batches ---------------------------------------------------------
-
-    def batch_ping_rr(
-        self,
-        vp: VantagePoint,
-        dests: Sequence[int],
-        pps: Optional[float] = None,
-        slots: int = RR_MAX_SLOTS,
-        ttl: int = DEFAULT_TTL,
-    ) -> List[RRPingResult]:
-        """Probe ``dests`` in the given order at a steady ``pps``.
-
-        Returns field-for-field what :meth:`ping_rr` would have
-        produced per address, at replay cost.
-        """
-        targets = self._resolve_targets(vp, dests)
-        outcomes = self._batch_rr(vp, targets, slots, ttl, pps, None)
-        results = []
-        for (addr, _dest), outcome in zip(targets, outcomes):
-            if outcome.responded:
-                results.append(RRPingResult(
+        rows = self._replay(
+            vp, _PING, targets, 0, DEFAULT_TTL, count, pps, heartbeat
+        )
+        results: List[PingResult] = []
+        for (addr, _dest), outcome, sent, at, plan in zip(targets, *rows):
+            if isinstance(outcome, PingResult):
+                results.append(outcome)  # walked
+            elif outcome.responded:
+                results.append(PingResult(
                     vp_name=vp.name,
                     dst=addr,
-                    responded=True,
-                    rr_hops=list(outcome.rr),
-                    rr_slots=slots,
-                    reply_has_rr=outcome.reply_has_rr,
-                ))
-            elif outcome.ttl_exceeded:
-                results.append(RRPingResult(
-                    vp_name=vp.name,
-                    dst=addr,
-                    responded=False,
-                    rr_slots=slots,
-                    ttl_exceeded=True,
-                    error_source=outcome.error_source,
-                    quoted_rr_hops=list(outcome.quoted),
+                    sent=sent,
+                    replies=1,
+                    reply_ident=plan.host.ipid(at),
+                    reply_time=at,
                 ))
             else:
-                results.append(RRPingResult(
-                    vp_name=vp.name, dst=addr, responded=False,
-                    rr_slots=slots,
+                results.append(PingResult(
+                    vp_name=vp.name, dst=addr, sent=sent, replies=0
                 ))
         return results

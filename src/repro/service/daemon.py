@@ -216,13 +216,15 @@ class MeasurementDaemon:
     def stream_path(self, spec: MeasurementSpec) -> Path:
         return Path(self.config.stream_dir) / spec.tenant / f"{spec.name}.jsonl"
 
-    def _open_stream(self, state: SpecState) -> None:
-        """Open (or recover) a spec's stream at its flushed units."""
+    def _recover_stream(self, state: SpecState) -> TenantStream:
+        """Attach a spec's stream, checked at its flushed units but not
+        yet cut (see :meth:`TenantStream.recover`)."""
         spec = state.spec
-        state.stream = TenantStream.open(
+        state.stream = TenantStream.recover(
             self.stream_path(spec), spec.tenant, spec.name,
             expect_records=state.next_unit,
         )
+        return state.stream
 
     def submit(self, record: object) -> dict:
         """Admit or reject one submission; returns the machine-readable
@@ -240,7 +242,7 @@ class MeasurementDaemon:
                 return err.to_response()
             response, state = self.scheduler.submit(spec, self.scenario)
             if state is not None:
-                self._open_stream(state)
+                self._recover_stream(state).settle()
             self._write_checkpoint()
             return response
 
@@ -373,9 +375,11 @@ class MeasurementDaemon:
         files re-passed on a resume command line dedup against it).
 
         Folds the log's verified lines (spec records by key, last one
-        wins), checking each before any stream or the log's bad tail
-        is cut: a refused resume (:class:`SurveyFormatError` naming the
-        file and line) leaves every file as it found it.
+        wins), checking each, and then every stream, before any stream
+        or the log's bad tail is cut: a refused resume
+        (:class:`SurveyFormatError` naming the file and line, or
+        :class:`StreamFormatError` naming the stream) leaves every file
+        as it found it.
         """
         path = self.config.checkpoint_path
         if path is None or not Path(path).exists():
@@ -404,11 +408,17 @@ class MeasurementDaemon:
                         f"malformed checkpoint line {number}: "
                         f"{type(exc).__name__}: {exc}",
                     ) from exc
-            for state in self.scheduler.states_in_order():
-                if state.status != REJECTED:
-                    self._open_stream(state)
-                    if state.status == DONE:
-                        state.stream.finalize()
+            # Every stream is checked before any is cut.
+            live = [
+                state for state in self.scheduler.states_in_order()
+                if state.status != REJECTED
+            ]
+            for state in live:
+                self._recover_stream(state)
+            for state in live:
+                state.stream.settle()
+                if state.status == DONE:
+                    state.stream.finalize()
             self._checkpoint_repairs = int(cut_checkpoint_tail(
                 path, [line for line, _body in lines], "service",
                 self._registry,

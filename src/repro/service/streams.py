@@ -21,7 +21,10 @@ tail goes; drop any trailer (the daemon re-finalizes finished specs —
 the trailer is deterministic so re-sealing rewrites identical bytes);
 and cut back to the checkpoint's flushed-unit count — a crash after
 flush but before checkpoint leaves one extra valid record, which
-resume rewinds and replays identically.
+resume rewinds and replays identically. The check
+(:meth:`TenantStream.recover`) writes nothing and the cut
+(:meth:`TenantStream.settle`) comes after it, so a resume can check
+every stream before it cuts any.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ class TenantStream:
         self.records = 0
         self.finalized = False
         self._body_hash = hashlib.sha256()
+        self._kept: List[bytes] = []
 
     # -- creation / recovery ----------------------------------------------
 
@@ -82,19 +86,33 @@ class TenantStream:
         spec: str,
         expect_records: Optional[int] = None,
     ) -> "TenantStream":
-        """Open (creating or recovering) a stream for appending.
+        """Open (creating or recovering) a stream for appending:
+        :meth:`recover`, then :meth:`settle`."""
+        stream = cls.recover(path, tenant, spec, expect_records)
+        stream.settle()
+        return stream
+
+    @classmethod
+    def recover(
+        cls,
+        path: Union[str, Path],
+        tenant: str,
+        spec: str,
+        expect_records: Optional[int] = None,
+    ) -> "TenantStream":
+        """Check a stream can be resumed, writing nothing.
 
         ``expect_records`` is the checkpoint's flushed-unit count: the
-        stream is truncated to exactly that many valid record lines
-        (extra valid records mean the crash hit between flush and
-        checkpoint; invalid tails mean it hit mid-write). A trailer, if
-        present, is stripped — callers re-finalize finished specs.
-        Raises :class:`StreamFormatError` if fewer valid records
-        survive than the checkpoint requires (that means lost data,
-        not a clean crash).
+        stream keeps exactly that many valid record lines (extra valid
+        records mean the crash hit between flush and checkpoint;
+        invalid tails mean it hit mid-write). A trailer, if present, is
+        dropped — callers re-finalize finished specs. Raises
+        :class:`StreamFormatError` if fewer valid records survive than
+        the checkpoint requires (that means lost data, not a clean
+        crash). :meth:`settle` then cuts the file to what was kept.
         """
         stream = cls(path, tenant, spec)
-        stream.path.parent.mkdir(parents=True, exist_ok=True)
+        kept: List[bytes] = []
         if not stream.path.exists():
             if expect_records:
                 raise StreamFormatError(
@@ -102,28 +120,37 @@ class TenantStream:
                     f"stream missing but checkpoint recorded "
                     f"{expect_records} flushed units",
                 )
-            stream.path.write_text("", encoding="utf-8")
-            return stream
-        kept: List[bytes] = []
-        for line, body in verified_prefix(stream.path):
-            if body.get("record") == TRAILER_RECORD or (
-                expect_records is not None and len(kept) >= expect_records
-            ):
-                # Trailer or unrecorded units: everything from here on
-                # is rewritten by the resumed run.
-                break
-            kept.append(line)
-        if expect_records is not None and len(kept) < expect_records:
-            raise StreamFormatError(
-                path,
-                f"only {len(kept)} valid records recovered; checkpoint "
-                f"recorded {expect_records} flushed units",
-            )
-        truncate_log(stream.path, kept)
+        else:
+            for line, body in verified_prefix(stream.path):
+                if body.get("record") == TRAILER_RECORD or (
+                    expect_records is not None
+                    and len(kept) >= expect_records
+                ):
+                    # Trailer or unrecorded units: everything from
+                    # here on is rewritten by the resumed run.
+                    break
+                kept.append(line)
+            if expect_records is not None and len(kept) < expect_records:
+                raise StreamFormatError(
+                    path,
+                    f"only {len(kept)} valid records recovered; "
+                    f"checkpoint recorded {expect_records} flushed units",
+                )
         for line in kept:
             stream._body_hash.update(line + b"\n")
         stream.records = len(kept)
+        stream._kept = kept
         return stream
+
+    def settle(self) -> None:
+        """Cut the file back to the records :meth:`recover` kept,
+        creating it (and its directory) if it is missing."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self.path.exists():
+            truncate_log(self.path, self._kept)
+        else:
+            self.path.write_text("", encoding="utf-8")
+        self._kept = []
 
     # -- appending ---------------------------------------------------------
 

@@ -667,9 +667,9 @@ def build_program(
     walker = _Walker(network, slots, flapset)
     stop_kind, stop_info = walker.leg(fwd, ttl, kind == KIND_RR)
     if stop_kind != _ARRIVE:
-        program.whole = Template(
-            tuple(walker.ops), _stop_outcome(walker, stop_kind, stop_info)
-        )
+        # The stop outcome first: a Time Exceeded appends its loss gate.
+        final = _stop_outcome(walker, stop_kind, stop_info)
+        program.whole = Template(tuple(walker.ops), final)
         return program
     program.ops_fwd = tuple(walker.ops)
     program.load_fwd = tuple(walker.load.items())
@@ -763,9 +763,8 @@ def _continuation(
             tuple(walker.load.items()),
         )
     else:
-        cont = (_C_TPL, Template(
-            tuple(walker.ops), _stop_outcome(walker, stop_kind, stop_info)
-        ))
+        final = _stop_outcome(walker, stop_kind, stop_info)
+        cont = (_C_TPL, Template(tuple(walker.ops), final))
     program.conts[key] = cont
     return cont
 

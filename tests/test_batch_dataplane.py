@@ -202,6 +202,137 @@ class TestWalkReference:
         assert added[True] > 0, added
 
 
+#: The :class:`Outcome` fields the walk reports too (it has no
+#: ``replied``).
+WALK_FIELDS = (
+    "responded", "reply_has_rr", "rr", "dest_slot", "inprefix",
+    "ttl_exceeded", "error_source", "quoted",
+)
+
+
+#: Oracle fault draws beyond the presets: none, and flaps dense enough
+#: to land on the hop where a TTL expires (the presets flap too few
+#: adjacencies for that).
+ORACLE_PLANS = {
+    "none": None,
+    "flap-dense": FaultPlan(
+        seed=3, specs=(LinkFlap(count=300, start=0.0, duration=1.0),)
+    ),
+}
+
+
+def _oracle_sides(seed, faults, first, vps, start, dests, probe):
+    """``probe(prober, vp, targets)`` once per VP session, replayed
+    and then walked, on fresh ``tiny`` worlds. ``targets`` is
+    ``dests`` hitlist entries from ``start`` on, wrapping around.
+
+    Each side lists, per session, the VP, what ``probe`` returned and
+    the session's loss-stream state. The state is read before
+    ``end_vp_session`` restores the shared stream, so a draw replay
+    skips shows even where no outcome moved. The walked side must
+    replay nothing and the replayed side must replay.
+    """
+    sides = []
+    for batching in (True, False):
+        world = get_preset("tiny", seed)
+        world.prober.batching = batching
+        net = world.network
+        replays = net._plan_replays.value
+        plan = (
+            ORACLE_PLANS[faults] if faults in ORACLE_PLANS
+            else build_fault_plan(faults, scenario_seed=seed)
+        )
+        hitlist = list(world.hitlist)
+        start %= len(hitlist)
+        targets = (hitlist[start:] + hitlist[:start])[:dests]
+        working = world.working_vps
+        side = []
+        for index in range(first, first + vps):
+            vp = working[index % len(working)]
+            if plan is not None:
+                net.attach_injector(FaultInjector(
+                    net, plan, horizon=len(targets) / DEFAULT_PPS
+                ))
+            net.begin_vp_session(vp.name)
+            try:
+                rows = probe(world.prober, vp, targets)
+                state = net._loss_rng.getstate()
+            finally:
+                net.end_vp_session()
+                if plan is not None:
+                    net.detach_injector()
+            side.append((vp.name, rows, state))
+        replayed = net._plan_replays.value - replays
+        assert (replayed > 0) == batching, (batching, replayed)
+        sides.append(side)
+    return sides
+
+
+ORACLE_DRAWS = dict(
+    seed=st.integers(min_value=0, max_value=10_000),
+    first=st.integers(min_value=0, max_value=9),
+    faults=st.sampled_from(["none", "link-flap", "chaos", "flap-dense"]),
+    vps=st.integers(min_value=1, max_value=3),
+    start=st.integers(min_value=0, max_value=399),
+    dests=st.integers(min_value=10, max_value=60),
+)
+
+
+class TestWalkOracle:
+    """The walk is the oracle: a replayed VP session equals the same
+    session walked, probe for probe and draw for draw, over drawn
+    worlds, VPs, fault presets, TTLs and ping counts."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        ttl=st.one_of(st.integers(min_value=1, max_value=20), st.just(64)),
+        **ORACLE_DRAWS,
+    )
+    # A forward Time Exceeded's loss draw, once skipped by replay.
+    @example(
+        seed=2016, first=0, faults="none", ttl=5, vps=3, start=0, dests=60
+    )
+    @example(
+        seed=3, first=0, faults="none", ttl=5, vps=3, start=0, dests=60
+    )
+    # TTL 3 expires on an options-filtering hop: the TTL check wins.
+    @example(
+        seed=2016, first=0, faults="none", ttl=3, vps=1, start=100, dests=10
+    )
+    # A flap and a TTL expiry on one hop: the flap check wins.
+    @example(
+        seed=0, first=0, faults="flap-dense", ttl=2, vps=2, start=5, dests=11
+    )
+    def test_ping_rr_replay_equals_walk(
+        self, seed, first, faults, ttl, vps, start, dests
+    ):
+        def probe(prober, vp, targets):
+            return [
+                tuple(getattr(outcome, name) for name in WALK_FIELDS)
+                for _dest, outcome in prober.probe_batch_rows(
+                    vp, targets, ttl=ttl
+                )
+            ]
+
+        replayed, walked = _oracle_sides(
+            seed, faults, first, vps, start, dests, probe
+        )
+        assert replayed == walked
+
+    @settings(max_examples=12, deadline=None)
+    @given(count=st.integers(min_value=1, max_value=3), **ORACLE_DRAWS)
+    def test_ping_replay_equals_walk(
+        self, seed, first, faults, count, vps, start, dests
+    ):
+        def probe(prober, vp, targets):
+            return prober.probe_batch_ping(vp, targets, count=count)
+
+        replayed, walked = _oracle_sides(
+            seed, faults, first, vps, start, dests, probe
+        )
+        assert replayed == walked
+
+
 class TestOptionsLoadParity:
     def test_per_asn_options_load_identical(self):
         """The per-batch load fold must reproduce the legacy walk's

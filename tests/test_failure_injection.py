@@ -83,16 +83,16 @@ class TestDraconianRateLimits:
         )
         scenario = make_scenario(sim=sim)
         vp = scenario.working_vps[0]
-        dests = [dest.addr for dest in list(scenario.hitlist)[:100]]
-        results = scenario.prober.batch_ping_rr(vp, dests, pps=50.0)
-        responded = sum(1 for r in results if r.rr_responsive)
+        dests = list(scenario.hitlist)[:100]
+        rows = scenario.prober.probe_batch_rows(vp, dests, pps=50.0)
+        responded = sum(1 for _dest, o in rows if o.rr_responsive)
         # At 50x the policed rate, the vast majority must be dropped...
         assert responded < len(dests) * 0.3
         # ...and the drops must be attributed to rate limiting.
         assert scenario.network.stats.dropped_rate_limited > 0
         # Plain pings (no options) are never policed.
-        ping = scenario.prober.ping(vp, dests[0], count=3, pps=50.0)
-        host = scenario.network.host_of_addr(dests[0])
+        ping = scenario.prober.ping(vp, dests[0].addr, count=3, pps=50.0)
+        host = scenario.network.host_of_addr(dests[0].addr)
         if host is not None and host.ping_responsive:
             assert ping.responded
 

@@ -156,9 +156,9 @@ class TestTraceroute:
 class TestBatch:
     def test_batch_preserves_order_and_length(self, tiny_scenario):
         vp = tiny_scenario.working_vps[0]
-        addrs = [dest.addr for dest in list(tiny_scenario.hitlist)[:15]]
-        results = tiny_scenario.prober.batch_ping_rr(vp, addrs)
-        assert [result.dst for result in results] == addrs
+        dests = list(tiny_scenario.hitlist)[:15]
+        rows = tiny_scenario.prober.probe_batch_rows(vp, dests)
+        assert [dest for dest, _outcome in rows] == dests
 
     def test_invalid_pps_rejected(self, tiny_scenario):
         with pytest.raises(ValueError):

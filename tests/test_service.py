@@ -775,6 +775,38 @@ def test_checkpoint_errors_name_the_file(tmp_path):
         assert {p: p.read_bytes() for p in streams} == stream_bytes
 
 
+def test_refused_stream_leaves_every_stream_untouched(tmp_path):
+    """A resume refused for one stream cuts no other: every stream is
+    checked before any is cut. Here alice's stream holds a record past
+    the log, which an accepted resume would cut, and carol's, which
+    comes later, lost its flushed records."""
+    daemon = MeasurementDaemon(
+        _scenario(), _config(tmp_path, kill_after_units=3),
+        registry=_registry(),
+    )
+    for record in SPECS:
+        daemon.submit(record)
+    with pytest.raises(ServiceInterrupted):
+        daemon.run()
+    streams = tmp_path / "streams"
+    alice = streams / "alice" / "rr-a.jsonl"
+    carol = streams / "carol" / "rr-c.jsonl"
+    assert alice.stat().st_size and carol.stat().st_size
+    with open(alice, "a", encoding="utf-8") as fh:
+        fh.write(alice.read_text("utf-8").splitlines()[0] + "\n")
+    carol.write_text("", "utf-8")
+    files = sorted(streams.rglob("*.jsonl")) + [tmp_path / "service.ckpt"]
+    before = {path: path.read_bytes() for path in files}
+
+    fresh = MeasurementDaemon(
+        _scenario(), _config(tmp_path), registry=_registry()
+    )
+    with pytest.raises(StreamFormatError) as err:
+        fresh.restore()
+    assert err.value.path == str(carol)
+    assert {path: path.read_bytes() for path in files} == before
+
+
 def _fold(path: Path) -> dict:
     """The state a checkpoint log holds: its header, spec records by
     label (last one wins), rounds and balances from the last line."""
