@@ -93,8 +93,11 @@ def test_bench_stamp_plan_compile(benchmark, study_2016):
     """Cost of compiling one flow's round-trip plan + RR template.
 
     Path/segment caches are warm (as on every miss after the first
-    probe of an ingress AS), so this isolates the per-flow compile the
-    batched dataplane pays once per (VP-AS, destination)."""
+    probe of an ingress AS) and every round compiles a fresh plan, so
+    this times the whole per-flow compile the batched dataplane pays
+    once per (VP-AS, destination) and options-shape: the plan handle,
+    then the template's forward walk, host checks and, for a flow
+    that gets an Echo Reply, the reverse leg."""
     from repro.net.packet import DEFAULT_TTL
     from repro.sim.stampplan import KIND_RR
 

@@ -173,18 +173,26 @@ EXPERIMENTS: Dict[str, Callable[[StudyData], str]] = {
 }
 
 
-def _jobs(text: str) -> int:
-    """``--jobs``: a positive worker count (anything else is a usage
-    error, exit 2)."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer: {text!r}"
-        )
-    return jobs
+def _number(convert, positive: bool, noun: str):
+    """An argparse type: ``convert`` the text, then require a value
+    above zero (``positive``) or at least zero. Anything else is a
+    usage error, exit 2, not a traceback from deep inside a run."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(f"must be a {noun}: {text!r}")
+        return value
+
+    return parse
+
+
+_positive = _number(int, True, "positive integer")
+_non_negative = _number(int, False, "non-negative integer")
+_positive_float = _number(float, True, "positive number")
 
 
 def _address(text: str) -> int:
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the report to this file",
     )
     study.add_argument(
-        "--jobs", type=_jobs, default=1,
+        "--jobs", type=_positive, default=1,
         help="survey fan-out: worker processes (1 = serial; "
              "results are identical for any value)",
     )
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plan seed (default: derived from the scenario seed)",
     )
     study.add_argument(
-        "--max-retries", type=int, default=3,
+        "--max-retries", type=_non_negative, default=3,
         help="retry rounds per failed VP (resilient driver only)",
     )
     study.add_argument(
@@ -264,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=int, default=None,
         help="fault plan seed (default: derived from the scenario seed)",
     )
-    chaos.add_argument("--jobs", type=_jobs, default=1)
-    chaos.add_argument("--max-retries", type=int, default=3)
+    chaos.add_argument("--jobs", type=_positive, default=1)
+    chaos.add_argument("--max-retries", type=_non_negative, default=3)
     chaos.add_argument(
-        "--budget", type=float, default=None,
+        "--budget", type=_positive_float, default=None,
         help="campaign budget in seconds (wall + simulated backoff)",
     )
     chaos.add_argument("--checkpoint", type=Path, default=None)
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from --checkpoint instead of starting fresh",
     )
     chaos.add_argument(
-        "--kill-after-vps", type=int, default=None,
+        "--kill-after-vps", type=_positive, default=None,
         help="simulate a crash after N newly-completed VPs "
              f"(exit code {EXIT_INTERRUPTED})",
     )
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the merged RR survey JSON here (byte-stable)",
     )
     chaos.add_argument(
-        "--dests", type=int, default=None,
+        "--dests", type=_positive, default=None,
         help="probe only the first N hitlist destinations",
     )
     chaos.add_argument(
@@ -296,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
              "any VP is quarantined)",
     )
     chaos.add_argument(
-        "--hang-timeout", type=float, default=30.0,
+        "--hang-timeout", type=_positive_float, default=30.0,
         help="no-heartbeat deadline (seconds) before a worker is "
              "presumed hung and respawned (with --supervise)",
     )
     chaos.add_argument(
-        "--quarantine-after", type=int, default=3,
+        "--quarantine-after", type=_positive, default=3,
         help="quarantine a VP after this many hang/crash attempts "
              "(with --supervise)",
     )
@@ -378,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--seed", type=int, default=2016)
     trace.add_argument(
-        "--dests", type=int, default=None,
+        "--dests", type=_positive, default=None,
         help="probe only the first N hitlist destinations",
     )
     trace.add_argument(
-        "--vps", type=int, default=None,
+        "--vps", type=_positive, default=None,
         help="probe from only the first N vantage points",
     )
-    trace.add_argument("--jobs", type=_jobs, default=1)
+    trace.add_argument("--jobs", type=_positive, default=1)
     trace.add_argument(
         "--sample", type=int, default=0, metavar="N",
         help="attach every Nth probe as a span event (0 = off)",
@@ -451,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the rendered metrics to this file",
     )
     stats.add_argument(
-        "--jobs", type=_jobs, default=1,
+        "--jobs", type=_positive, default=1,
         help="survey fan-out: worker processes (1 = serial)",
     )
     stats.add_argument(
@@ -495,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", default="tiny", choices=sorted(PRESETS)
     )
     serve.add_argument("--seed", type=int, default=2016)
-    serve.add_argument("--jobs", type=_jobs, default=1)
+    serve.add_argument("--jobs", type=_positive, default=1)
     serve.add_argument(
         "--spec", action="append", default=[], type=Path,
         metavar="FILE",
@@ -529,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
              "with `repro top --status PATH`",
     )
     serve.add_argument(
-        "--kill-after-units", type=int, default=None,
+        "--kill-after-units", type=_positive, default=None,
         help="simulate a crash after N newly-flushed units "
              f"(exit code {EXIT_INTERRUPTED})",
     )
@@ -1363,8 +1371,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServiceInterrupted,
     )
 
+    try:
+        quota = _quota_from_args(args)
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     scenario = get_preset(args.preset, seed=args.seed)
-    quota = _quota_from_args(args)
     overrides: dict = {}
     records = []
     if args.demo:

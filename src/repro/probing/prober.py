@@ -610,7 +610,8 @@ class Prober:
         walk = kind.walk
         attempts = range(1, count + 1)
         n = replied_n = plan_hits = 0
-        counts: dict = {}
+        fates: list = []
+        fate_append = fates.append
         # A replayed target's values; with no attempts (count < 1)
         # every one keeps these.
         sent, outcome, plan = 0, _SILENT, None
@@ -673,7 +674,7 @@ class Prober:
                                 if not limiter.allow(now):
                                     outcome = op[3]
                                     break
-                    counts[outcome] = counts.get(outcome, 0) + 1
+                    fate_append(outcome)
                     if outcome.replied:
                         replied_n += 1
                         rtt_observe(now - start)
@@ -698,7 +699,7 @@ class Prober:
             clock._now = now
             if n:
                 self._fold(
-                    metrics, network, counts,
+                    metrics, network, fates,
                     n, replied_n, plan_hits,
                 )
         return outcomes, sents, ats, used
@@ -707,19 +708,21 @@ class Prober:
         self,
         metrics: _ProbeMetrics,
         network: Network,
-        counts: dict,
+        fates: list,
         n: int,
         replied_n: int,
         plan_hits: int,
     ) -> None:
         """One batch's deferred accounting, applied as single adds.
 
-        ``counts`` maps each distinct :class:`Outcome` to how many
-        probes shared that fate this batch; its per-probe counter and
-        options-load contributions expand here by multiplication.
+        ``fates`` lists each replayed attempt's :class:`Outcome`, in
+        probe order; their counter and options-load contributions are
+        summed here and applied as one add per counter and per AS.
         Everything is commutative integer arithmetic, so deferring it
         cannot change any total the legacy per-probe path produces —
-        only the number of Python-level increments (the point).
+        only the number of registry increments. Summed in probe order,
+        ASes enter ``options_load`` in the order the probes first
+        loaded them.
         """
         metrics.probes.inc(n)
         if replied_n:
@@ -739,11 +742,11 @@ class Prober:
         network._plan_replays.inc(n)
         tally: dict = {}
         load: dict = {}
-        for outcome, times in counts.items():
+        for outcome in fates:
             for counter in outcome.counters:
-                tally[counter] = tally.get(counter, 0) + times
+                tally[counter] = tally.get(counter, 0) + 1
             for asn, cnt in outcome.load:
-                load[asn] = load.get(asn, 0) + cnt * times
+                load[asn] = load.get(asn, 0) + cnt
         for counter, count in tally.items():
             counter.inc(count)
         options_load = network.options_load

@@ -48,13 +48,7 @@ from repro.sim.clock import SimClock
 from repro.sim.host import SimHost, build_host
 from repro.sim.policies import RouterPolicy, SimParams, build_router_policy
 from repro.sim.rate_limiter import BucketMetrics, TokenBucket
-from repro.sim.stampplan import (
-    FlowProgram,
-    RoundTripPlan,
-    SegmentPlan,
-    build_program,
-    compile_segment,
-)
+from repro.sim.stampplan import RoundTripPlan, SegmentPlan, compile_segment
 from repro.topology.generator import GeneratedTopology
 from repro.topology.hitlist import Destination, Hitlist
 from repro.topology.routers import Hop, RouterFabric, RouterNode
@@ -286,13 +280,6 @@ class Network:
         #: shared by every destination behind an AS resolves once, not
         #: once per flow.
         self._seg_plans: Dict[int, Tuple[Tuple[Hop, ...], SegmentPlan]] = {}
-        #: Shared flow programs: (fwd segment-plan tuple, kind, slots,
-        #: ttl, forward flapset) -> the per-prefix symbolic walk every
-        #: destination behind the prefix finishes its templates from.
-        #: The flapset is restricted to the adjacencies the forward
-        #: leg crosses, so unaffected flows share the placid program.
-        #: Cleared with the plan cache (``_drop_plans``).
-        self._programs: Dict[tuple, FlowProgram] = {}
         #: Reverse-access chains (the "access" hops of a prefix tail),
         #: cached per prefix base so the compiled reverse direction
         #: reuses one tuple identity.
@@ -397,7 +384,6 @@ class Network:
         if self._plans:
             self._plan_invalidations.inc()
             self._plans.clear()
-        self._programs.clear()
 
     # -- entity resolution ---------------------------------------------------
 
@@ -640,41 +626,12 @@ class Network:
                 entry[1] if entry is not None else self._segment_plan(tail)
             )
             fwd = (trunk_plan, tail_plan)
-        # The heavy symbolic walk lives in the per-(fwd, options-shape)
-        # FlowProgram (see :meth:`_program_for`), shared by every
-        # destination behind the prefix; the plan itself is just the
-        # per-destination handle (host + final-outcome memo).
+        # The symbolic walk runs per template (``build_template``),
+        # on the first probe of each options-shape; the reverse leg
+        # resolves on the first Echo Reply.
         return RoundTripPlan(
             src_asn=src_asn, dest=dest, host=host, fwd=fwd
         )
-
-    def _program_for(
-        self,
-        fwd,
-        kind: int,
-        slots: int,
-        ttl: int,
-        flapset,
-    ) -> FlowProgram:
-        """The shared :class:`FlowProgram` for one flow's options-shape.
-
-        Keyed by the forward segment-plan tuple (identity-stable per
-        (ingress AS, prefix) through the ``_seg_plans`` pinning) plus
-        the template key with ``flapset`` already restricted to the
-        forward leg (``build_template``), so every destination in a
-        prefix — across all its plans — resolves the symbolic walk
-        exactly once. The reverse trunk inside resolves lazily, only
-        for programs whose flows survive to the Echo Reply. Dropped
-        wholesale with the plan cache (``_drop_plans``): programs
-        embed policy loci and pin segment tuples, so they never
-        outlive a route or policy invalidation.
-        """
-        key = (fwd, kind, slots, ttl, flapset)
-        program = self._programs.get(key)
-        if program is None:
-            program = build_program(self, fwd, kind, slots, ttl, flapset)
-            self._programs[key] = program
-        return program
 
     def _segment_plan(self, segment: Tuple[Hop, ...]) -> SegmentPlan:
         """The compiled plan for one cached hop segment, by identity.

@@ -1,13 +1,13 @@
 """Stamp-plan compilation: the batched dataplane's compiler half.
 
-PR 2's forward-path cache proved that everything a probe encounters on
-its way to a destination is invariant per (ingress AS, destination
-prefix): the router list, each router's policy draws, the host's
-behaviour, the reverse trunk. Yet the legacy walk re-derives every one
-of those decisions per probe, hop by hop, through ``Network._walk`` —
-packet serialisation and option byte-twiddling included.
+Everything a probe encounters on its way to a destination is
+invariant per (ingress AS, destination): the router list, each
+router's policy draws, the host's behaviour, the reverse trunk. Yet
+the legacy walk re-derives every one of those decisions per probe,
+hop by hop, through ``Network._walk`` — packet serialisation and
+option byte-twiddling included.
 
-This module compiles that invariant structure at three granularities.
+This module compiles that invariant structure at two cached levels.
 A :class:`SegmentPlan` per cached hop segment (a trunk, an access
 tail) holds the expensive pass that resolves every hop's policy —
 done once per segment *object*, so the long trunk shared by every
@@ -15,16 +15,15 @@ destination behind an AS (and every VP in an ingress AS) is walked
 exactly once rather than once per flow. Alongside the per-hop facts it
 precomputes whole-segment aggregates (per-AS options load, stamp
 addresses in order, rate loci with their cumulative-load prefixes), so
-assembling a flow's program costs a few tuple merges instead of
-another per-hop pass. A :class:`FlowProgram` per (forward path,
-options-shape, TTL, flap set) then performs the symbolic round-trip
-walk once for *every destination sharing the prefix* — the stop-point
-resolution, the gate-op emission, the load/stamp accumulation — and a
-:class:`RoundTripPlan` per (ingress AS, destination) finishes each
-destination with only the host-specific facts (does this host answer?
-does it stamp the reply? which Record Route does the reply carry?),
-memoising the resulting :class:`Template`. Replay touches only the
-*genuinely sequential* per-probe state:
+a flow's symbolic walk consumes a segment as a few tuple merges
+instead of another per-hop pass. A :class:`RoundTripPlan` per (ingress
+AS, destination) then memoises one :class:`Template` per
+options-shape, TTL and flap set, each compiled by
+:func:`build_template` in one pass: the forward leg's stop-point
+resolution, the host's checks, the reply's Record Route and the
+reverse leg. The hitlist holds one destination per prefix, so nothing
+between a segment and a destination has anything to share. Replay
+touches only the *genuinely sequential* per-probe state:
 
 * token-bucket ``allow(now)`` draws at each rate-limited locus;
 * the per-VP loss-stream draws (``Network._lost``), including the
@@ -34,11 +33,12 @@ memoising the resulting :class:`Template`. Replay touches only the
 
 Everything else — which hops stamp, where the first options filter
 sits, where the TTL dies, how the host copies the RR option, which
-same-/24 addresses the reply carries — is precomputed into shared
-:class:`Outcome` objects whose metric-counter children and per-AS
-options-load contributions are folded in one per-batch add.
+same-/24 addresses the reply carries — is precomputed into the
+template's :class:`Outcome` objects, whose metric-counter children
+and per-AS options-load contributions are folded in one per-batch
+pass.
 
-The reverse leg of a program resolves lazily: only a flow that
+The reverse leg resolves lazily, on the plan: only a flow that
 survives to the Echo Reply expands the reply trunk, which is exactly
 when the legacy walk first touches it — the options-filtered majority
 of an RR survey never pays for one.
@@ -49,21 +49,20 @@ gates appear in hop order and only before the first deterministic
 stop (flap < TTL < filter, matching the walk's within-hop order), and
 loss draws appear exactly where ``_lost()`` is called (ICMP-error
 emission, host arrival, reverse delivery). Deterministic drops consume
-no draw in either implementation. Plans and programs contain no random
-state, so sharing them across VPs or compiling them per worker cannot
-change a single byte.
+no draw in either implementation. Segment plans and templates contain
+no random state, so sharing them across VPs or compiling them per
+worker cannot change a single byte.
 
 Fault keying: a template is resolved per ``(kind, slots, ttl,
 flapset)`` where ``flapset`` is the injector's memoised frozenset of
 flapped adjacencies at the probe's send time — a plan compiled while a
 LinkFlap window is open can never be replayed against a placid world
 (or vice versa), because the key differs. Each leg then sees only the
-flapped adjacencies it crosses (:func:`crossed_flaps`): the forward
-restriction keys the :class:`FlowProgram`, the reverse one keys the
-continuation, and a flow that crosses none reuses its placid template
-object. The symbolic walk tests no other edge, so the restriction
-cannot change an outcome; it keeps plans retained across flap
-sessions from duplicating their templates.
+flapped adjacencies it crosses (:func:`crossed_flaps`), and a flow
+that crosses none on either leg reuses its placid template object.
+The symbolic walk tests no other edge, so the restriction cannot
+change an outcome; it keeps plans retained across flap sessions from
+duplicating their templates.
 """
 
 from __future__ import annotations
@@ -77,14 +76,12 @@ from repro.topology.routers import Hop, RouterNode
 __all__ = [
     "KIND_RR",
     "KIND_PING",
-    "FlowProgram",
     "Outcome",
     "RoundTripPlan",
     "SegmentPlan",
     "Template",
     "compile_segment",
     "crossed_flaps",
-    "build_program",
     "build_template",
 ]
 
@@ -100,24 +97,19 @@ _FLAP = 1
 _TTL = 2
 _FILTER = 3
 
-# Continuation kinds for a program's reverse-leg resolution (see
-# ``_continuation``): a fully shared template, a reverse TTL expiry
-# whose quote embeds the destination-specific Record Route, or a
-# delivered reply needing per-destination final assembly.
-_C_TPL = 0
-_C_QUOTED = 1
-_C_ARRIVE = 2
+#: ``RoundTripPlan.rev`` before the first Echo Reply resolves it.
+_UNRESOLVED = object()
 
 
 class Outcome:
-    """One precomputed probe fate, shared by every probe that meets it.
+    """One precomputed probe fate: a template's final or a gate's fail.
 
     ``counters`` holds the pre-resolved registry children this outcome
     increments once per occurrence (``sent`` always included); ``load``
     holds the per-AS options-load contribution as ``(asn, count)``
     pairs. Both are folded per batch, not per probe — the replay loop
-    counts occurrences per outcome *object* and multiplies at fold
-    time. Loss-gate drops are the exception: ``Network._lost``
+    lists each attempt's outcome and adds the list up once, at the
+    batch's end. Loss-gate drops are the exception: ``Network._lost``
     increments its own counters at draw time, so lost outcomes carry
     only the deterministic part.
 
@@ -126,8 +118,9 @@ class Outcome:
     it claimed (``None`` means the source was the destination, the
     normal case), and a mangled option carries the corrupted wire
     bytes for the validator to re-decode. Clean-world outcomes always
-    leave both ``None`` — template outcomes are shared, so the
-    misbehavior transform builds fresh instances rather than mutating.
+    leave both ``None`` — a template's outcomes are replayed by every
+    probe of its flow, so the misbehavior transform builds fresh
+    instances rather than mutating.
     """
 
     __slots__ = (
@@ -189,8 +182,7 @@ class Template:
     matches the legacy walk's first traversal), or
     ``[None, None, None, fail_outcome]`` for a loss-lottery draw. The
     first failing gate yields its outcome; surviving every gate yields
-    ``final``. Op lists are shared across the templates of one
-    :class:`FlowProgram` — the only mutation ever applied (limiter
+    ``final``. The only mutation ever applied to an op (limiter
     resolution) is idempotent.
     """
 
@@ -364,13 +356,16 @@ def compile_segment(network, hops: Sequence[Hop]) -> SegmentPlan:
     )
 
 
+
+
 class RoundTripPlan:
     """The compiled round trip for one (ingress AS, destination).
 
     ``fwd`` is a tuple of shared :class:`SegmentPlan` references in
-    traversal order (``None`` when the forward path has no route); it
-    doubles as the identity that locates the flow's shared
-    :class:`FlowProgram` on the network. Templates (per options-shape
+    traversal order (``None`` when the forward path has no route).
+    ``rev`` is the reply's (access, trunk) pair, which
+    :meth:`reverse` resolves on the first template that reaches an
+    Echo Reply (``None``: no route back). Templates (per options-shape
     and flap set) are memoised on the plan and die with it — every
     invalidation that drops the plan drops its templates too.
     ``fast_key``/``fast_tpl`` are the batch loop's one-entry template
@@ -380,7 +375,7 @@ class RoundTripPlan:
     """
 
     __slots__ = (
-        "src_asn", "dest", "host", "fwd",
+        "src_asn", "dest", "host", "fwd", "rev",
         "fast_key", "fast_tpl", "_templates",
     )
 
@@ -389,6 +384,7 @@ class RoundTripPlan:
         self.dest = dest
         self.host = host
         self.fwd = fwd
+        self.rev = _UNRESOLVED
         self.fast_key = None
         self.fast_tpl = None
         self._templates: Dict[tuple, Template] = {}
@@ -412,77 +408,45 @@ class RoundTripPlan:
         self.fast_tpl = template
         return template
 
+    def reverse(self, network):
+        """The reply's segment plans (``None``: no route back).
 
-class FlowProgram:
-    """The prefix-shared half of a template.
-
-    One symbolic round-trip walk per (forward path, options-shape,
-    TTL, forward flap set), shared by every destination behind the
-    prefix — and therefore by every plan whose ``fwd`` tuple matches.
-    When the forward leg stops deterministically (no route, flap,
-    filter, TTL) the fate is host-independent and ``whole`` holds one
-    template every destination shares outright. Otherwise the program
-    keeps the surviving forward state (``ops_fwd``/``ops_arrived``,
-    ``load_fwd``, ``rr_fwd``, ``decr_fwd``) plus lazily-built shared
-    templates for the host-side deterministic drops, and resolves
-    reverse-leg continuations on demand, keyed by the only facts the
-    reply's reverse traversal depends on: whether it carries an RR
-    option, how many slots that option has consumed, and which flapped
-    adjacencies the reverse leg crosses.
-    """
-
-    __slots__ = (
-        "slots",
-        "whole", "ops_fwd", "ops_arrived", "load_fwd", "rr_fwd",
-        "decr_fwd", "silent_tpl", "optdrop_tpl", "noresp_tpl",
-        "rev", "rev_resolved", "conts",
-    )
-
-    def __init__(self, slots: int) -> None:
-        self.slots = slots
-        self.whole: Optional[Template] = None
-        self.ops_fwd: Tuple[list, ...] = ()
-        self.ops_arrived: Tuple[list, ...] = ()
-        self.load_fwd: Tuple[Tuple[int, int], ...] = ()
-        self.rr_fwd: Tuple[int, ...] = ()
-        self.decr_fwd = 0
-        self.silent_tpl: Optional[Template] = None
-        self.optdrop_tpl: Optional[Template] = None
-        self.noresp_tpl: Optional[Template] = None
-        self.rev = None
-        self.rev_resolved = False
-        self.conts: Dict[tuple, tuple] = {}
+        Resolved on first use — where the legacy walk first touches
+        the reverse trunk — so a plan whose templates all stop before
+        the Echo Reply never expands one.
+        """
+        rev = self.rev
+        if rev is _UNRESOLVED:
+            trunk = network._trunk(self.host.asn, self.src_asn)
+            rev = self.rev = None if trunk is None else (
+                network._segment_plan(network._access_of(self.dest)),
+                network._segment_plan(trunk),
+            )
+        return rev
 
 
 class _Walker:
-    """One direction's symbolic walk state (compile-time only).
+    """One round trip's symbolic walk state (compile-time only).
 
     Accumulates the replay ops, the per-AS options load, and the RR
-    stamp list while resolving the earliest deterministic stop.
-    Reverse legs seed ``rr`` with ``rr_len`` placeholders standing in
-    for the (destination-specific) slots the reply option already
-    carries — the walk only ever consults the list's *length*, and the
-    continuation splits off the appended suffix afterwards.
+    stamp list while resolving each leg's earliest deterministic
+    stop. The reverse leg carries on from the forward one's state,
+    with ``rr`` swapped for the Echo Reply's Record Route and
+    ``flapset`` for the reverse restriction.
     """
 
     __slots__ = ("network", "mx", "flapset", "slots", "ops", "load", "rr")
 
     def __init__(
-        self,
-        network,
-        slots: int,
-        flapset: Optional[FrozenSet],
-        ops: Optional[list] = None,
-        load: Optional[dict] = None,
-        rr_len: int = 0,
+        self, network, slots: int, flapset: Optional[FrozenSet]
     ) -> None:
         self.network = network
         self.mx = network._mx
         self.flapset = flapset
         self.slots = slots
-        self.ops: List[list] = [] if ops is None else ops
-        self.load: Dict[int, int] = {} if load is None else load
-        self.rr: List[Optional[int]] = [None] * rr_len
+        self.ops: List[list] = []
+        self.load: Dict[int, int] = {}
+        self.rr: List[int] = []
 
     def timeout(self, *extra) -> Outcome:
         return Outcome(
@@ -608,12 +572,8 @@ class _Walker:
 
 
 def _stop_outcome(walker: _Walker, stop_kind: int, stop_info) -> Outcome:
-    """The outcome for a leg's deterministic stop; appends the
-    error-reply loss gate when a Time Exceeded fires. Only valid when
-    the walker's RR list holds no reverse-leg placeholders (the quoted
-    stamps embed its contents verbatim) — reverse TTL expiry with a
-    live RR option is assembled per destination by the continuation.
-    """
+    """The outcome for a leg's deterministic stop, forward or reverse;
+    appends the error-reply loss gate when a Time Exceeded fires."""
     mx = walker.mx
     if stop_kind == _FLAP:
         return walker.timeout(
@@ -626,8 +586,9 @@ def _stop_outcome(walker: _Walker, stop_kind: int, stop_info) -> Outcome:
         return walker.timeout(mx.dropped_ttl)
     # Time Exceeded quoting the offending header: the quote includes
     # the full IP header (options and all), so the quoted RR is the
-    # stamps accumulated strictly before the expiry hop. The error
-    # reply itself faces one loss draw.
+    # stamps accumulated strictly before the expiry hop — on the
+    # reverse leg, the reply's Record Route so far. The error reply
+    # itself faces one loss draw.
     walker.ops.append([None, None, None, walker.timeout(mx.ttl_exceeded_sent)])
     return Outcome(
         replied=True,
@@ -639,136 +600,6 @@ def _stop_outcome(walker: _Walker, stop_kind: int, stop_info) -> Outcome:
     )
 
 
-def build_program(
-    network,
-    fwd,
-    kind: int,
-    slots: int,
-    ttl: int,
-    flapset: Optional[FrozenSet],
-) -> FlowProgram:
-    """Run the shared (per-prefix) half of the symbolic walk once.
-
-    Mirrors ``Network._walk``'s forward direction decision-for-decision
-    — the within-hop order (flap check, TTL, options-load, filter,
-    rate gate, stamp) and the options-load boundary per stop cause —
-    consuming segment aggregates rather than re-walking hops: a full
-    segment folds in as one load-tuple merge, a stamp-tuple extend,
-    and its precompiled rate loci; only the stop segment is truncated
-    (via the memoised ``SegmentPlan.partial``).
-    """
-    mx = network._mx
-    program = FlowProgram(slots)
-    if fwd is None:
-        program.whole = Template(
-            (), Outcome(counters=(mx.sent, mx.dropped_no_route))
-        )
-        return program
-    walker = _Walker(network, slots, flapset)
-    stop_kind, stop_info = walker.leg(fwd, ttl, kind == KIND_RR)
-    if stop_kind != _ARRIVE:
-        # The stop outcome first: a Time Exceeded appends its loss gate.
-        final = _stop_outcome(walker, stop_kind, stop_info)
-        program.whole = Template(tuple(walker.ops), final)
-        return program
-    program.ops_fwd = tuple(walker.ops)
-    program.load_fwd = tuple(walker.load.items())
-    program.rr_fwd = tuple(walker.rr)
-    program.decr_fwd = sum(len(sp.decr) for sp in fwd)
-    # Host-arrival loss draw (``_deliver_to_host`` calls ``_lost()``
-    # before the protocol dispatch, unresponsive hosts included).
-    arrival = [
-        None, None, None,
-        Outcome(counters=(mx.sent,), load=program.load_fwd),
-    ]
-    program.ops_arrived = program.ops_fwd + (arrival,)
-    return program
-
-
-def _reverse_of(network, program: FlowProgram, plan: RoundTripPlan):
-    """The program's reverse segment plans (None: no route back).
-
-    Resolved lazily, on the first reply that needs it — the point
-    where the legacy walk first touches the reverse trunk; any plan
-    sharing the program may supply the destination (reverse routing is
-    a prefix fact, not a host fact).
-    """
-    if not program.rev_resolved:
-        trunk = network._trunk(plan.host.asn, plan.src_asn)
-        if trunk is not None:
-            program.rev = (
-                network._segment_plan(network._access_of(plan.dest)),
-                network._segment_plan(trunk),
-            )
-        program.rev_resolved = True
-    return program.rev
-
-
-def _continuation(
-    network, program: FlowProgram, rev_has_options: bool,
-    n_recorded: int, rev_flaps: Optional[FrozenSet],
-) -> tuple:
-    """The reverse-leg continuation for one reply shape, memoised.
-
-    Keyed by the only reply facts the reverse traversal depends on:
-    whether the Echo Reply carries the RR option (filter loci apply),
-    how many slots it has consumed (how many reverse stamps fit), and
-    the flapped adjacencies the reverse leg crosses (``rev_flaps``,
-    already restricted by :func:`crossed_flaps`). The caller resolves
-    ``program.rev`` first (:func:`_reverse_of`).
-    """
-    key = (rev_has_options, n_recorded, rev_flaps)
-    cont = program.conts.get(key)
-    if cont is not None:
-        return cont
-    mx = network._mx
-    if program.rev is None:
-        cont = (_C_TPL, Template(
-            program.ops_arrived,
-            Outcome(
-                counters=(mx.sent, mx.dropped_no_route),
-                load=program.load_fwd,
-            ),
-        ))
-        program.conts[key] = cont
-        return cont
-    walker = _Walker(
-        network, program.slots, rev_flaps,
-        ops=list(program.ops_arrived), load=dict(program.load_fwd),
-        rr_len=n_recorded,
-    )
-    stop_kind, stop_info = walker.leg(program.rev, 64, rev_has_options)
-    if stop_kind == _ARRIVE:
-        # Reverse-arrival loss draw, then delivery.
-        walker.ops.append([None, None, None, walker.timeout()])
-        cont = (
-            _C_ARRIVE,
-            tuple(walker.ops),
-            tuple(walker.rr[n_recorded:]),
-            tuple(walker.load.items()),
-            [None],  # lazily-built shared template for RR-less replies
-        )
-    elif stop_kind == _TTL and stop_info[0]:
-        # Reverse Time Exceeded: the quote embeds the reply's RR,
-        # whose leading slots are destination-specific — store the
-        # shared suffix and assemble the outcome per destination.
-        walker.ops.append(
-            [None, None, None, walker.timeout(mx.ttl_exceeded_sent)]
-        )
-        cont = (
-            _C_QUOTED,
-            tuple(walker.ops),
-            stop_info[1],
-            tuple(walker.rr[n_recorded:]),
-            tuple(walker.load.items()),
-        )
-    else:
-        final = _stop_outcome(walker, stop_kind, stop_info)
-        cont = (_C_TPL, Template(tuple(walker.ops), final))
-    program.conts[key] = cont
-    return cont
-
-
 def build_template(
     network,
     plan: RoundTripPlan,
@@ -777,114 +608,91 @@ def build_template(
     ttl: int,
     flapset: Optional[FrozenSet],
 ) -> Template:
-    """Finish one destination's template from the shared flow program.
+    """Compile one destination's round trip into a :class:`Template`.
 
-    The program already performed the per-prefix symbolic walk; what
-    remains is exactly the host-specific part of
-    ``_deliver_to_host`` / ``_host_icmp``: the silent-TTL and
-    options-dropping checks, responsiveness, the reply's RR stamping,
-    and the final Record Route bookkeeping (destination slot, same-/24
-    addresses). Deterministic host drops and RR-less replies collapse
-    to templates shared by every destination that behaves alike.
+    Mirrors ``Network._walk``, ``_deliver_to_host``, ``_host_icmp``
+    and ``_reverse_deliver`` decision-for-decision — the within-hop
+    order (flap check, TTL, options-load, filter, rate gate, stamp),
+    the options-load boundary per stop cause, the host's silent-TTL,
+    options-dropping and responsiveness checks, the reply's RR
+    stamping — consuming segment aggregates rather than re-walking
+    hops: a full segment folds in as one load-tuple merge, a
+    stamp-tuple extend, and its precompiled rate loci; only a stop
+    segment is truncated (via the memoised ``SegmentPlan.partial``).
 
-    ``flapset`` is restricted per leg (:func:`crossed_flaps`); a flow
-    that crosses no flapped adjacency in either direction gets its
-    placid template itself.
+    ``flapset`` is restricted per leg (:func:`crossed_flaps`). A flow
+    whose forward leg crosses no flapped adjacency gets its placid
+    template itself unless its reply crosses one; a plan whose reverse
+    leg is still unresolved has never reached an Echo Reply, so
+    resolving it is never needed to decide.
     """
-    fwd_flaps = crossed_flaps(flapset, plan.fwd)
-    program = network._program_for(plan.fwd, kind, slots, ttl, fwd_flaps)
-    if program.whole is not None:
-        return program.whole
+    fwd = plan.fwd
+    fwd_flaps = crossed_flaps(flapset, fwd)
+    placid = None
+    if flapset and fwd_flaps is None:
+        placid = plan.template(network, kind, slots, ttl, None)
+        rev = plan.rev
+        if rev is _UNRESOLVED or crossed_flaps(flapset, rev) is None:
+            return placid
     mx = network._mx
-    host = plan.host
-    if host.silent_hops and ttl - program.decr_fwd <= host.silent_hops:
-        tpl = program.silent_tpl
-        if tpl is None:
-            tpl = program.silent_tpl = Template(
-                program.ops_fwd,
-                Outcome(
-                    counters=(mx.sent, mx.dropped_ttl),
-                    load=program.load_fwd,
-                ),
-            )
-        return tpl
+    if fwd is None:
+        return Template((), Outcome(counters=(mx.sent, mx.dropped_no_route)))
+    walker = _Walker(network, slots, fwd_flaps)
+    ops = walker.ops
     has_rr = kind == KIND_RR
-    if has_rr and host.drops_options:
-        tpl = program.optdrop_tpl
-        if tpl is None:
-            tpl = program.optdrop_tpl = Template(
-                program.ops_fwd,
-                Outcome(
-                    counters=(mx.sent, mx.dropped_host),
-                    load=program.load_fwd,
-                ),
-            )
-        return tpl
-    if not host.ping_responsive:
-        tpl = program.noresp_tpl
-        if tpl is None:
-            tpl = program.noresp_tpl = Template(
-                program.ops_arrived,
-                Outcome(
-                    counters=(mx.sent, mx.dropped_host),
-                    load=program.load_fwd,
-                ),
-            )
-        return tpl
+    host = plan.host
+    stop_kind, stop_info = walker.leg(fwd, ttl, has_rr)
+    if stop_kind != _ARRIVE:
+        # The stop outcome first: a Time Exceeded appends its loss gate.
+        final = _stop_outcome(walker, stop_kind, stop_info)
+    elif host.silent_hops and (
+        ttl - sum(len(sp.decr) for sp in fwd) <= host.silent_hops
+    ):
+        final = walker.timeout(mx.dropped_ttl)
+    elif has_rr and host.drops_options:
+        final = walker.timeout(mx.dropped_host)
+    else:
+        # Host-arrival loss draw (``_deliver_to_host`` calls
+        # ``_lost()`` before the protocol dispatch, unresponsive hosts
+        # included).
+        ops.append([None, None, None, walker.timeout()])
+        final = (
+            None if host.ping_responsive
+            else walker.timeout(mx.dropped_host)
+        )
+    if final is not None:
+        # Stopped before the reply: with a placid forward leg, the
+        # reverse leg's flaps cannot touch this flow.
+        return placid or Template(tuple(ops), final)
 
     # -- the Echo Reply -----------------------------------------------------
+    has_options = False
     if has_rr:
         reply_rr = host.stamp_reply(
-            RecordRouteOption(slots=slots, recorded=list(program.rr_fwd))
+            RecordRouteOption(slots=slots, recorded=walker.rr)
         )
-        rev_has_options = reply_rr is not None
-        recorded = (
-            tuple(reply_rr.recorded) if reply_rr is not None else ()
-        )
-    else:
-        rev_has_options = False
-        recorded = ()
-    rev_flaps = crossed_flaps(flapset, _reverse_of(network, program, plan))
-    if flapset and fwd_flaps is None and rev_flaps is None:
-        return plan.template(network, kind, slots, ttl, None)
-    cont = _continuation(
-        network, program, rev_has_options, len(recorded), rev_flaps
-    )
-    ckind = cont[0]
-    if ckind == _C_TPL:
-        return cont[1]
-    if ckind == _C_QUOTED:
-        _ck, ops, icmp_addr, suffix, load = cont
-        return Template(ops, Outcome(
-            replied=True,
-            ttl_exceeded=True,
-            error_source=icmp_addr,
-            quoted=recorded + suffix,
-            counters=(mx.sent, mx.ttl_exceeded_sent),
-            load=load,
-        ))
-    _ck, ops, rev_stamps, load, shared = cont
-    rr_final = recorded + rev_stamps
-    if not rr_final:
-        tpl = shared[0]
-        if tpl is None:
-            tpl = shared[0] = Template(ops, Outcome(
-                replied=True,
-                responded=True,
-                reply_has_rr=rev_has_options,
-                counters=(mx.sent, mx.delivered),
-                load=load,
-            ))
-        return tpl
+        has_options = reply_rr is not None
+        walker.rr = reply_rr.recorded if has_options else []
+    rev = plan.reverse(network)
+    if rev is None:
+        return Template(tuple(ops), walker.timeout(mx.dropped_no_route))
+    walker.flapset = crossed_flaps(flapset, rev)
+    stop_kind, stop_info = walker.leg(rev, 64, has_options)
+    if stop_kind != _ARRIVE:
+        final = _stop_outcome(walker, stop_kind, stop_info)
+        return Template(tuple(ops), final)
+    # Reverse-arrival loss draw, then delivery.
+    ops.append([None, None, None, walker.timeout()])
+    rr = tuple(walker.rr)
     dest_addr = plan.dest.addr
     slot: Optional[int] = None
-    for index, addr in enumerate(rr_final):
+    for index, addr in enumerate(rr):
         if addr == dest_addr:
             slot = index + 1
             break
     seen = set()
     inprefix: List[int] = []
-    for addr in rr_final:
+    for addr in rr:
         if (
             addr != dest_addr
             and addr not in seen
@@ -892,14 +700,13 @@ def build_template(
         ):
             seen.add(addr)
             inprefix.append(addr)
-    final = Outcome(
+    return Template(tuple(ops), Outcome(
         replied=True,
         responded=True,
-        reply_has_rr=rev_has_options,
-        rr=rr_final,
+        reply_has_rr=has_options,
+        rr=rr,
         dest_slot=slot,
         inprefix=tuple(inprefix),
         counters=(mx.sent, mx.delivered),
-        load=load,
-    )
-    return Template(ops, final)
+        load=tuple(walker.load.items()),
+    ))

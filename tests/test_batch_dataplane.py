@@ -25,7 +25,13 @@ from repro.obs.spans import TRACER
 from repro.probing.prober import DEFAULT_PPS
 from repro.scenarios.faults import build_fault_plan
 from repro.scenarios.presets import get_preset
-from repro.sim.stampplan import SegmentPlan, crossed_flaps
+from repro.sim.stampplan import (
+    _UNRESOLVED,
+    KIND_PING,
+    KIND_RR,
+    SegmentPlan,
+    crossed_flaps,
+)
 
 N_DESTS = 30
 #: Worlds the flap differential runs on; each has two working VPs
@@ -352,15 +358,14 @@ class TestOptionsLoadParity:
 
 
 class TestInvalidation:
-    def test_invalidate_routes_drops_plans_and_programs(self):
+    def test_invalidate_routes_drops_plans(self):
         world = get_preset("tiny", 2016)
         net = world.network
         run_rr_survey(world, dests=list(world.hitlist)[:10])
-        assert net._plans and net._programs
+        assert net._plans
         before = net._plan_invalidations.value
         net.invalidate_routes()
         assert not net._plans
-        assert not net._programs
         assert net._plan_invalidations.value == before + 1
 
     @settings(max_examples=12, deadline=None)
@@ -449,6 +454,82 @@ class TestInvalidation:
             else:
                 own += 1
         assert shared and own, (shared, own)
+
+
+    def test_reverse_only_flap_keeps_placid_pre_reply_template(self):
+        """A flap on the reverse leg alone moves only the flows that
+        reach the reply, even once another template of the plan has
+        resolved that leg: the RR probe that stops before the reply
+        keeps its placid template object, the ping that is answered
+        gets its own."""
+        world = get_preset("tiny", 7)
+        net = world.network
+        vp = world.vp_by_name("planetlab-lax")
+        dests = list(world.hitlist)
+        world.prober.probe_batch_ping(vp, dests, count=1)
+        world.prober.probe_batch_rows(vp, dests)
+        # A flap outcome counts on the injector's flap counter.
+        net.attach_injector(
+            FaultInjector(net, FaultPlan(seed=3, specs=()), horizon=1.0)
+        )
+        checked = 0
+        for dest in dests:
+            plan = net._plans[(vp.addr >> 16, dest.addr)]
+            placid = {
+                key[0]: (key, tpl)
+                for key, tpl in plan._templates.items() if key[3] is None
+            }
+            if not isinstance(plan.rev, tuple) or KIND_RR not in placid:
+                continue
+            rr_key, rr_placid = placid[KIND_RR]
+            ping_key, ping_placid = placid[KIND_PING]
+            if rr_placid.final.responded or not ping_placid.final.responded:
+                continue
+            for sp in plan.rev:
+                for _index, edge in sp.edges:
+                    flaps = frozenset({edge})
+                    if crossed_flaps(flaps, plan.fwd) is not None:
+                        continue
+                    rr = plan.template(net, *rr_key[:3], flaps)
+                    ping = plan.template(net, *ping_key[:3], flaps)
+                    assert rr is rr_placid, dest
+                    assert ping is not ping_placid, dest
+                    checked += 1
+            # A flap no leg crosses leaves the answered ping placid.
+            elsewhere = frozenset({(-2, -1)})
+            assert plan.template(net, *ping_key[:3], elsewhere) is ping_placid
+        net.detach_injector()
+        assert checked
+
+
+class TestLazyReverseLeg:
+    def test_reverse_leg_resolves_on_first_echo_reply(self):
+        """Only a flow that reaches the Echo Reply expands its reply
+        trunk: a plan whose RR probe stops at a forward options filter
+        (or finds no route) never resolves its reverse leg, placid or
+        under a flap window, and a plan whose template delivers a
+        reply has."""
+        world = get_preset("tiny", 2016)
+        vp = world.working_vps[0]
+        dests = list(world.hitlist)
+        world.prober.probe_batch_rows(vp, dests)
+        flaps = FaultPlan(
+            seed=3, specs=(LinkFlap(count=160, start=0.0, duration=1.0),)
+        )
+        _flap_session(world, flaps, vp, dests, stretch=2.0)
+        plans = world.network._plans
+        filtered = replied = 0
+        for dest in dests:
+            plan = plans[(vp.addr >> 16, dest.addr)]
+            if plan.fwd is None or any(
+                sp.filter_idx is not None for sp in plan.fwd
+            ):
+                filtered += 1
+                assert plan.rev is _UNRESOLVED, dest
+            if any(t.final.responded for t in plan._templates.values()):
+                replied += 1
+                assert isinstance(plan.rev, tuple), dest
+        assert filtered and replied, (filtered, replied)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,33 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_out_of_range_numbers_are_usage_errors(self, capsys):
+        """Counts and durations are range-checked by the parser (exit
+        2 with a usage message), not by a traceback mid-run."""
+        cases = [
+            ("chaos", "--max-retries", "-1"),
+            ("study", "--faults", "chaos", "--max-retries", "-1"),
+            ("chaos", "--supervise", "--hang-timeout", "0"),
+            ("chaos", "--supervise", "--quarantine-after", "0"),
+            ("serve", "--demo", "--kill-after-units", "0"),
+            ("chaos", "--kill-after-vps", "0"),
+            ("chaos", "--dests", "-5"),
+            ("chaos", "--budget", "-1"),
+            ("trace", "--vps", "0"),
+        ]
+        for command, *flags in cases:
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--preset", "tiny", *flags])
+            assert exit_info.value.code == 2, flags
+            err = capsys.readouterr().err
+            assert "usage:" in err and flags[-2] in err, (flags, err)
+            assert "Traceback" not in err, flags
+        # Quota values the parser cannot check alone (the balance cap
+        # must cover the initial credits) exit 2 with the reason.
+        code = main(["serve", "--preset", "tiny", "--balance-cap", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("serve: balance_cap")
+
     @pytest.mark.parametrize("dst", ["999.1.2.3", "10.0.0", "host"])
     def test_probe_bad_dst_is_a_usage_error(self, capsys, dst):
         with pytest.raises(SystemExit) as exit_info:
