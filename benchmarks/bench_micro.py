@@ -2,8 +2,9 @@
 
 Not paper artifacts — these track the cost of the primitives every
 experiment leans on: wire encode/decode, RR stamping, valley-free
-routing-tree computation, path expansion, LPM lookups, and a single
-end-to-end ping-RR through the dataplane.
+route resolution (a whole routing tree, and the per-source paths a
+survey walks), path expansion, LPM lookups, and a single end-to-end
+ping-RR through the dataplane.
 """
 
 import pytest
@@ -57,6 +58,25 @@ def test_bench_routing_tree(benchmark, study_2016):
 
     tree = benchmark(compute)
     assert len(tree) > len(scenario.graph) * 0.9
+
+
+def test_bench_as_path(benchmark, study_2016):
+    """Every (ingress AS, destination AS) pair of the survey on a fresh
+    system: the routes a cold survey resolves, and no others."""
+    scenario = study_2016.scenario
+    sources = sorted({vp.asn for vp in scenario.vps})
+    dests = sorted({dest.asn for dest in scenario.hitlist})
+
+    def resolve():
+        routing = RoutingSystem(scenario.graph)
+        return sum(
+            routing.as_path(src, dest) is not None
+            for src in sources
+            for dest in dests
+        )
+
+    routed = benchmark(resolve)
+    assert routed > 0.5 * len(sources) * len(dests)
 
 
 def test_bench_path_expansion(benchmark, study_2016):

@@ -195,6 +195,20 @@ _non_negative = _number(int, False, "non-negative integer")
 _positive_float = _number(float, True, "positive number")
 
 
+def _ttl(text: str) -> int:
+    """``--ttl``: an IP TTL from 1 to 255 (anything else is a usage
+    error, exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= 255:
+        raise argparse.ArgumentTypeError(
+            f"must be a TTL from 1 to 255: {text!r}"
+        )
+    return value
+
+
 def _address(text: str) -> int:
     """``--dst``: a dotted-quad IPv4 address (anything else is a usage
     error, exit 2)."""
@@ -427,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["ping", "rr", "rrudp", "ts", "trace"],
     )
     probe.add_argument(
-        "--ttl", type=int, default=64, help="initial TTL (rr probes)"
+        "--ttl", type=_ttl, default=64, help="initial TTL (rr probes)"
     )
     probe.add_argument(
         "--trace",
@@ -542,8 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
              f"(exit code {EXIT_INTERRUPTED})",
     )
     serve.add_argument(
-        "--max-rounds", type=int, default=None,
-        help="stop after this many scheduler rounds (debugging)",
+        "--max-rounds", type=_positive, default=None,
+        help="stop after this many scheduler rounds (debugging); a "
+             "daemon stopped with work left reports state 'capped'",
     )
     serve.add_argument(
         "--initial-credits", type=float, default=500.0,
@@ -1198,17 +1213,17 @@ def _render_stats_table(snapshot: dict) -> str:
         lines.append(f"  {'miss':<8} {misses:>10}")
         lines.append(f"  {'hit_rate':<8} {rate:>10}")
 
+    resolved = _sum_series(snapshot, "routing_routes_resolved_total")
     trees = _sum_series(
         snapshot, "routing_tree_cache_lookups_total", by="result"
     )
-    if trees:
-        evictions = _sum_series(
-            snapshot, "routing_tree_cache_evictions_total"
-        ).get("", 0)
-        lines.append("routing-tree LRU cache")
-        lines.append(f"  {'hit':<9} {trees.get('hit', 0):>10}")
-        lines.append(f"  {'miss':<9} {trees.get('miss', 0):>10}")
-        lines.append(f"  {'evictions':<9} {evictions:>10}")
+    if resolved or trees:
+        lines.append("routing cache")
+        lines.append(
+            f"  {'routes_resolved':<15} {resolved.get('', 0):>10}"
+        )
+        lines.append(f"  {'tree_hit':<15} {trees.get('hit', 0):>10}")
+        lines.append(f"  {'tree_miss':<15} {trees.get('miss', 0):>10}")
     return "\n".join(lines)
 
 
@@ -1294,7 +1309,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             print(render_status(status))
             if args.once:
                 return 0
-            if status.get("state") in ("done", "interrupted"):
+            if status.get("state") in ("done", "capped", "interrupted"):
                 return 0
             print()
         if deadline is not None and _time.monotonic() >= deadline:

@@ -16,7 +16,7 @@ tested byte-for-byte in ``tests/test_parallel_survey.py``):
   state is per-worker by design, matching the paper's independent-VP
   pacing) and a **per-VP loss stream** seeded from ``(seed, vp.name)``;
 * everything else the dataplane walk touches — router policies, hosts,
-  routing trees, forward-path expansions — is value-deterministic, so
+  routes, forward-path expansions — is value-deterministic, so
   warm caches change speed, never results.
 
 Under those rules in-process and pooled execution produce the same
@@ -52,14 +52,17 @@ construction). Workers follow the parent's span-tracing setting and
 its ``Prober.batching``, the walk-as-reference switch the parity tests
 flip; both are read when the executor is built, so a worker walks or
 replays alike under either start method. Each task ships home its
-result plus a pruned metrics-registry snapshot, its span buffer and
-the per-AS options-load delta; the parent folds them in key order, so
-totals never depend on completion order. A killed attempt ships
-nothing.
+result plus a pruned metrics-registry snapshot, its span buffer, the
+per-AS options-load delta and its probe sessions' elapsed simulated
+times; the parent folds them in key order, so totals — and the
+parent's clock — never depend on completion order. A killed attempt
+ships nothing. Tasks may name an affinity group (a VP's ASN), and an
+idle worker keeps to the groups it owns (:class:`_TaskQueue`), so a
+pool resolves each ingress AS's routes and plans once.
 
 Collector discipline: right before every task body the executor calls
 ``gc.freeze()``, wherever the body runs. Everything older than the task
-— the scenario, its routing trees and stamp plans, earlier tasks'
+— the scenario, its resolved routes and stamp plans, earlier tasks'
 results and, in a worker, the heap inherited at fork — moves to the
 permanent generation, so collections during the task walk only what
 the task allocated. Frozen objects that fall out of use are still
@@ -84,9 +87,11 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Hashable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -317,6 +322,9 @@ def _worker_serve(payload, setup, conn, heartbeat_value) -> None:
     if scenario is None:
         scenario = build_scenario(params)
     scenario.prober.batching = batching
+    network = scenario.network
+    session_times: List[float] = []
+    network.session_times = session_times
     TRACER.configure(spans)
     state = dict(payload, scenario=scenario)
     body = payload["task_body"]
@@ -350,7 +358,8 @@ def _worker_serve(payload, setup, conn, heartbeat_value) -> None:
         key, label = task[0], str(task[1])
         REGISTRY.reset()
         TRACER.reset()
-        scenario.network.options_load.clear()
+        network.options_load.clear()
+        session_times.clear()
         destinations = 0
         task_beat: Optional[Callable[[], None]] = None
         if recorder is not None:
@@ -399,7 +408,8 @@ def _worker_serve(payload, setup, conn, heartbeat_value) -> None:
                 key,
                 result,
                 _compact_snapshot(REGISTRY.snapshot()),
-                dict(scenario.network.options_load),
+                dict(network.options_load),
+                session_times,
                 error,
                 TRACER.snapshot(),
                 journal,
@@ -425,6 +435,72 @@ class _WorkerHandle:
         self.tries = 0  # watchdog-level tries consumed by current task
 
 
+class _TaskQueue:
+    """One round's queued tasks, handed to idle workers by group.
+
+    A group is what the caller names per task — a VP's ASN, since
+    every task of one ingress AS reads the same routes and stamp plans
+    — and ``owners`` maps each group to the worker whose caches hold
+    it. An idle worker takes the first of:
+
+    1. the oldest queued task of a group it owns;
+    2. the oldest task of the unowned group with the most queued
+       tasks, and owns that group from then on;
+    3. the newest queued task of any group (a steal: the thief warms
+       that group's caches once, but no worker idles while a task
+       waits).
+
+    Ungrouped tasks (group ``None``) are never owned, so a round
+    without groups is dispatched first in, first out.
+    """
+
+    def __init__(
+        self,
+        tasks: List[tuple],
+        groups: Optional[Sequence[Hashable]],
+        owners: Dict[Hashable, _WorkerHandle],
+    ) -> None:
+        self._owners = owners
+        #: group -> its queued ``(sequence, task)``s, oldest first.
+        self._queues: Dict[Hashable, deque] = {}
+        for seq, task in enumerate(tasks):
+            group = None if groups is None else groups[seq]
+            self._queues.setdefault(group, deque()).append((seq, task))
+        self._size = len(tasks)
+
+    def __bool__(self) -> bool:
+        return self._size > 0
+
+    def take(self, handle: _WorkerHandle) -> Tuple[Hashable, tuple]:
+        """``(group, (sequence, task))`` for idle ``handle``."""
+        owners = self._owners
+        queued = [(g, q) for g, q in self._queues.items() if q]
+        mine = [(g, q) for g, q in queued if owners.get(g) is handle]
+        if mine:
+            group, queue = min(mine, key=lambda gq: gq[1][0][0])
+            item = queue.popleft()
+        else:
+            free = [(g, q) for g, q in queued if g not in owners]
+            if free:
+                group, queue = max(
+                    free, key=lambda gq: (len(gq[1]), -gq[1][0][0])
+                )
+                if group is not None:
+                    owners[group] = handle
+                item = queue.popleft()
+            else:
+                group, queue = max(queued, key=lambda gq: gq[1][-1][0])
+                item = queue.pop()
+        self._size -= 1
+        return group, item
+
+    def put_back(self, group: Hashable, item: tuple) -> None:
+        """Requeue a taken ``item`` where it was (its send failed)."""
+        queue = self._queues[group]
+        queue.insert(sum(1 for queued in queue if queued[0] < item[0]), item)
+        self._size += 1
+
+
 class WorkerWatchdog:
     """The executor: runs keyed task bodies in-process or on a pool.
 
@@ -434,10 +510,15 @@ class WorkerWatchdog:
     :meth:`close`, so a campaign's retry rounds or a daemon's
     scheduler rounds reuse warm workers.
 
-    Telemetry (metrics snapshots, span buffers, per-AS options load)
-    from *successful and failed* pooled attempts is merged into the
-    parent in key order — independent of completion order. Killed
-    attempts ship nothing.
+    Telemetry (metrics snapshots, span buffers, per-AS options load,
+    probe-session clock time) from *successful and failed* pooled
+    attempts is merged into the parent in key order — independent of
+    completion order. Killed attempts ship nothing.
+
+    Pooled dispatch follows the groups :meth:`run_tasks` is handed
+    (see :class:`_TaskQueue`). Ownership lives on the executor, so a
+    campaign's retry rounds reuse it; a respawned worker's groups
+    become unowned, because its caches died with it.
     """
 
     def __init__(
@@ -476,6 +557,8 @@ class WorkerWatchdog:
             )
             self._hb_ages = heartbeat_age_histogram(registry).labels(net_id)
         self._workers: List[_WorkerHandle] = []
+        #: Affinity group -> the live worker that owns it.
+        self._owners: Dict[Hashable, _WorkerHandle] = {}
         self.hangs_detected = 0
         self.workers_respawned = 0
         #: Per-key flight-recorder mirror (supervised only): the last
@@ -532,6 +615,8 @@ class WorkerWatchdog:
 
     def _respawn(self, handle: _WorkerHandle) -> _WorkerHandle:
         self._kill_worker(handle)
+        for group in [g for g, h in self._owners.items() if h is handle]:
+            del self._owners[group]
         fresh = self._spawn_worker()
         index = self._workers.index(handle)
         self._workers[index] = fresh
@@ -552,6 +637,7 @@ class WorkerWatchdog:
             handle.process.join(timeout=2.0)
             self._kill_worker(handle)
         self._workers = []
+        self._owners.clear()
         if self._frozen:
             gc.unfreeze()
             self._frozen = False
@@ -606,14 +692,24 @@ class WorkerWatchdog:
 
     # -- execution ---------------------------------------------------------
 
-    def run_tasks(self, tasks: List[tuple]) -> Outcomes:
-        """Execute one round of ``(key, label, *args)`` tasks."""
+    def run_tasks(
+        self,
+        tasks: List[tuple],
+        groups: Optional[Sequence[Hashable]] = None,
+    ) -> Outcomes:
+        """Execute one round of ``(key, label, *args)`` tasks.
+
+        ``groups``, if given, names each task's affinity group (one per
+        task, ``None`` for none); a pool keeps each group's tasks on
+        the worker that owns it. It changes which worker runs a task,
+        never an outcome.
+        """
         self.exceptions = {}
         if not tasks:
             return {}
         if self.config is None and self.jobs == 1:
             return self._run_in_process(tasks)
-        return self._run_pooled(tasks)
+        return self._run_pooled(tasks, groups)
 
     def _run_in_process(self, tasks: List[tuple]) -> Outcomes:
         outcomes: Outcomes = {}
@@ -630,7 +726,9 @@ class WorkerWatchdog:
                     outcomes[task[0]] = (None, "failed", _describe(exc))
         return outcomes
 
-    def _run_pooled(self, tasks: List[tuple]) -> Outcomes:
+    def _run_pooled(
+        self, tasks: List[tuple], groups: Optional[Sequence[Hashable]]
+    ) -> Outcomes:
         outcomes: Outcomes = {}
         supervised = self.config is not None
         for task in tasks:
@@ -639,7 +737,7 @@ class WorkerWatchdog:
         while len(self._workers) < want:
             self._workers.append(self._spawn_worker())
 
-        queue: deque = deque(tasks)
+        queue = _TaskQueue(tasks, groups, self._owners)
         raw_results: List[tuple] = []
         in_flight = 0
 
@@ -662,11 +760,11 @@ class WorkerWatchdog:
                     return
                 if handle.task is not None:
                     continue
-                task = queue.popleft()
+                group, item = queue.take(handle)
                 handle.tries += 1
-                if not send(handle, task):
+                if not send(handle, item[1]):
                     # Died between tasks; revive and retry dispatch.
-                    queue.appendleft(task)
+                    queue.put_back(group, item)
                     self._respawn(handle)
                     return
                 in_flight += 1
@@ -746,7 +844,9 @@ class WorkerWatchdog:
                     self._store_journal(key, events)
                     continue
                 raw_results.append(message)
-                key, result, _snap, _load, error, _spans, journal = message
+                key, result, _snap, _load, _times, error, _spans, journal = (
+                    message
+                )
                 if journal:
                     self._store_journal(key, journal)
                 outcomes[key] = (
@@ -779,10 +879,17 @@ class WorkerWatchdog:
         # of completion order. Span buffers merge under the currently
         # open span (the dispatching survey or round).
         raw_results.sort(key=lambda item: item[0])
-        options_load = self.scenario.network.options_load
-        for _key, _result, snapshot, load_delta, _e, spans, _j in raw_results:
+        network = self.scenario.network
+        options_load = network.options_load
+        for (
+            _key, _result, snapshot, load_delta, times, _e, spans, _j
+        ) in raw_results:
             self._registry.merge(snapshot)
             TRACER.merge(spans)
             for asn, count in load_delta.items():
                 options_load[asn] = options_load.get(asn, 0) + count
+            # The additions end_vp_session makes in-process, in the
+            # same order.
+            for elapsed in times:
+                network.clock.advance(elapsed)
         return outcomes

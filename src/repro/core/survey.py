@@ -599,16 +599,17 @@ def _ping_body(state: dict, task: tuple, heartbeat) -> List[Tuple[int, bool]]:
 
 def _run_survey_tasks(
     scenario: Scenario, jobs: int, payload: dict, tasks: List[tuple],
-    kind: str,
+    kind: str, groups: Optional[List[int]] = None,
 ) -> list:
-    """Results of survey ``tasks`` on the executor, in key order.
+    """Results of survey ``tasks`` on the executor, in key order
+    (``groups`` as for :meth:`WorkerWatchdog.run_tasks`).
 
     A failed task raises :class:`SurveyWorkerError` for the first
     failed key, chained from the original exception when the body ran
     in-process.
     """
     with WorkerWatchdog(scenario, payload, jobs) as executor:
-        outcomes = executor.run_tasks(tasks)
+        outcomes = executor.run_tasks(tasks, groups)
     results = []
     for key, label in tasks:
         result, status, error = outcomes[key]
@@ -678,8 +679,10 @@ def run_rr_survey(
 
     Each VP's full probe sequence is one executor task: ``jobs=1``
     (default) runs them in-process; ``jobs >= 2`` runs them on a
-    worker pool and merges the compact result rows plus each worker's
-    metrics-registry snapshot back into the parent. Both run each VP
+    worker pool, grouped by the VP's AS so each worker resolves and
+    compiles only its own ingress ASes' routes and plans, and merges
+    the compact result rows plus each worker's metrics-registry
+    snapshot back into the parent. Both run each VP
     inside the same deterministic probe session, so the resulting
     :func:`save_survey` JSON is **byte-identical** for any ``jobs``
     value on the same seed.
@@ -713,7 +716,10 @@ def run_rr_survey(
         vps=len(vp_list), targets=len(targets), jobs=jobs or 1,
     ):
         with timed("rr_survey"):
-            per_vp = _run_survey_tasks(scenario, jobs, payload, tasks, "rr")
+            per_vp = _run_survey_tasks(
+                scenario, jobs, payload, tasks, "rr",
+                groups=[vp.asn for vp in vp_list],
+            )
         # Merge in VP order so per-destination dict insertion order (and
         # therefore the persisted JSON) is independent of completion
         # order.

@@ -633,7 +633,9 @@ class CampaignRunner:
                     for index in runnable
                 ]
                 try:
-                    outcomes = executor.run_tasks(tasks)
+                    outcomes = executor.run_tasks(
+                        tasks, [vp_list[index].asn for index in runnable]
+                    )
                     still_pending: List[int] = []
                     for index in pending:
                         name = vp_list[index].name

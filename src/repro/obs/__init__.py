@@ -4,9 +4,9 @@ The measurement platform measuring itself. See DESIGN.md §"Observability"
 for how the dataplane, rate limiters, prober, and campaign layers
 report here, and ``python -m repro stats`` for the operator view.
 
-Import order matters: the leaf modules (``metrics``, ``spans``,
-``journal``, ``timing``, ``trace``) load before ``export`` and
-``status``, which reach back into :mod:`repro.probing.artifacts`.
+Nothing here imports a higher layer: ``export`` and ``status`` write
+through the leaf :mod:`repro.integrity`, so any ``repro`` module
+(``repro.topology.routing`` included) can be the first one imported.
 """
 
 from repro.obs.metrics import (

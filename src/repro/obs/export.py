@@ -13,7 +13,7 @@
 * Packet traces: persist :class:`~repro.obs.trace.TraceEvent` rings
   as JSONL with an integrity trailer (``probe --trace-output``),
   through the shared atomic-write + sha256 helpers in
-  :mod:`repro.probing.artifacts`.
+  :mod:`repro.integrity`.
 
 Everything operates on plain data, so artifacts persisted earlier
 (e.g. next to benchmark output) re-export without live objects. Pure
@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.obs.metrics import MetricsRegistry, REGISTRY
 from repro.obs.trace import TraceEvent
-from repro.probing.artifacts import (
+from repro.integrity import (
     atomic_write_text,
     checksum_of,
     embed_checksum,
@@ -340,7 +340,7 @@ def trace_events_to_jsonl(events: Iterable[TraceEvent]) -> str:
 
     One compact JSON object per event in ring order, then a trailer
     line carrying the event count, the sha256 of the event lines, and
-    (via :func:`~repro.probing.artifacts.embed_checksum`) the
+    (via :func:`~repro.integrity.embed_checksum`) the
     trailer's own content digest — so a reader can detect both a
     corrupted body and a corrupted trailer.
     """

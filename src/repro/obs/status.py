@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.probing.artifacts import atomic_write_text
+from repro.integrity import atomic_write_text
 
 __all__ = [
     "STATUS_VERSION",

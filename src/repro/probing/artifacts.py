@@ -5,7 +5,8 @@ Every artifact this repository persists — survey JSON (plain or
 gzipped), campaign checkpoints, service streams, JSONL result stores —
 represents hours of (simulated) probing. A half-written or bit-rotted
 file must therefore never masquerade as data. Three primitives, shared
-by every writer:
+by every writer (the first two live in the leaf :mod:`repro.integrity`
+and are re-exported here):
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` — the single
   write-rename helper. Content lands in a same-directory temp file,
@@ -38,12 +39,20 @@ registry (``artifact_checksum_verified_total`` /
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.integrity import (
+    CHECKSUM_KEY,
+    atomic_write_bytes,
+    atomic_write_text,
+    canonical_json_bytes,
+    checksum_of,
+    embed_checksum,
+    split_checksum,
+)
 from repro.obs.metrics import CounterFamily, MetricsRegistry, REGISTRY
 
 __all__ = [
@@ -68,9 +77,6 @@ __all__ = [
     "checksum_failure_counter",
     "checkpoint_repair_counter",
 ]
-
-#: The reserved top-level key carrying the embedded content digest.
-CHECKSUM_KEY = "sha256"
 
 #: The version every checkpoint log's header line carries.
 CHECKPOINT_VERSION = 2
@@ -115,85 +121,6 @@ def checkpoint_repair_counter(registry: MetricsRegistry) -> CounterFamily:
         "Resumed checkpoints whose torn or corrupt tail was dropped.",
         ("kind",),
     )
-
-
-# ---------------------------------------------------------------------------
-# The one atomic write-rename helper.
-# ---------------------------------------------------------------------------
-
-
-def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
-
-    The temp file lives in the destination directory so the final
-    rename never crosses a filesystem boundary. The file descriptor is
-    fsynced before the rename; a crash at any point leaves either the
-    previous complete file or the new complete file.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        # A crash between write and replace leaves the temp file; a
-        # success leaves nothing. Either way, don't litter.
-        if tmp.exists():  # pragma: no cover - crash-path hygiene
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-
-
-def atomic_write_text(
-    path: Union[str, Path], text: str, encoding: str = "utf-8"
-) -> None:
-    """Atomic text write (see :func:`atomic_write_bytes`)."""
-    atomic_write_bytes(path, text.encode(encoding))
-
-
-# ---------------------------------------------------------------------------
-# Embedded content checksums over canonical JSON bytes.
-# ---------------------------------------------------------------------------
-
-
-def canonical_json_bytes(record: Dict) -> bytes:
-    """The canonical serialisation checksums are computed over.
-
-    Sorted keys + compact separators: any dict that parses back to the
-    same data canonicalises to the same bytes, so a load can recompute
-    the digest of what it parsed and compare against the embedded one.
-    """
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-
-
-def checksum_of(record: Dict) -> str:
-    """sha256 hex digest of ``record``'s canonical bytes (checksum
-    field excluded, if present)."""
-    body = {k: v for k, v in record.items() if k != CHECKSUM_KEY}
-    return hashlib.sha256(canonical_json_bytes(body)).hexdigest()
-
-
-def embed_checksum(record: Dict) -> Dict:
-    """A copy of ``record`` carrying its own content digest."""
-    body = {k: v for k, v in record.items() if k != CHECKSUM_KEY}
-    out = dict(body)
-    out[CHECKSUM_KEY] = checksum_of(body)
-    return out
-
-
-def split_checksum(record: Dict) -> Tuple[Dict, Optional[str]]:
-    """``(body, stored_digest)`` — digest is ``None`` for legacy
-    artifacts written before checksums existed."""
-    if CHECKSUM_KEY not in record:
-        return record, None
-    body = {k: v for k, v in record.items() if k != CHECKSUM_KEY}
-    return body, record[CHECKSUM_KEY]
 
 
 def verify_embedded_checksum(

@@ -118,6 +118,8 @@ class ServiceConfig:
             raise ValueError(
                 f"kill_after_units must be >= 1: {self.kill_after_units}"
             )
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1: {self.max_rounds}")
 
 
 class MeasurementDaemon:
@@ -431,7 +433,10 @@ class MeasurementDaemon:
 
     def run(self) -> dict:
         """Serve until all specs are terminal (or shutdown/kill); returns
-        the manifest. Raises :class:`ServiceInterrupted` on a kill."""
+        the manifest. Raises :class:`ServiceInterrupted` on a kill.
+
+        The manifest's ``state`` is ``done``, or ``capped`` when
+        ``max_rounds`` stopped the daemon with specs still active."""
         config = self.config
         self._started = time.monotonic()
         self._units_this_run = 0
@@ -464,6 +469,9 @@ class MeasurementDaemon:
                     config.max_rounds is not None
                     and self.scheduler.rounds >= config.max_rounds
                 ):
+                    with self._lock:
+                        if self.scheduler.has_work():
+                            state = "capped"
                     break
                 with self._lock:
                     has_work = self.scheduler.has_work()

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.addr import Prefix
 from repro.net.icmp import (
@@ -319,6 +319,10 @@ class Network:
         #: Saved outer clock value while a per-VP session has the clock
         #: rebased to 0.0 (see :meth:`begin_vp_session`).
         self._session_outer = 0.0
+        #: When a list, :meth:`end_vp_session` appends each session's
+        #: elapsed time to it. Pool workers keep one per task and ship
+        #: it home, so the parent's clock adds up as in-process.
+        self.session_times: Optional[List[float]] = None
         #: Slow-path load: options packets processed per AS, i.e. the
         #: route-processor work [10] that §4.2's TTL limiting exists to
         #: reduce and that the conclusion worries operators will react
@@ -705,13 +709,17 @@ class Network:
         """Leave the per-VP context, restoring shared network state.
 
         The clock resumes at ``outer + elapsed`` so simulated time
-        still adds up across sessions from the outside.
+        still adds up across sessions from the outside — in a pooled
+        run too, where the executor makes the same additions to the
+        parent's clock from :attr:`session_times`.
         """
         if self._injector is not None:
             self._injector.end_session()
         elapsed = self.clock.now
         self.clock.rebase(self._session_outer + elapsed)
         self._session_outer = 0.0
+        if self.session_times is not None:
+            self.session_times.append(elapsed)
         self._loss_rng = self._base_loss_rng
 
     # -- the walk ---------------------------------------------------------

@@ -44,6 +44,10 @@ class TestParser:
             ("chaos", "--dests", "-5"),
             ("chaos", "--budget", "-1"),
             ("trace", "--vps", "0"),
+            ("serve", "--demo", "--max-rounds", "0"),
+            ("serve", "--demo", "--max-rounds", "-3"),
+            ("probe", "--dst", "10.0.0.1", "--ttl", "300"),
+            ("probe", "--dst", "10.0.0.1", "--ttl", "0"),
         ]
         for command, *flags in cases:
             with pytest.raises(SystemExit) as exit_info:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 
 import pytest
 
+from repro.core.parallel import WorkerWatchdog, _TaskQueue
 from repro.core.study import run_full_study
 from repro.core.survey import (
     load_survey,
@@ -367,3 +369,109 @@ class TestStudyPlumbing:
             save_survey(data.rr_survey, a)
             save_survey(serial.rr_survey, b)
             assert a.read_bytes() == b.read_bytes()
+
+
+def _pid_body(state, task, heartbeat):
+    """A task body that only says which process ran it."""
+    return os.getpid()
+
+
+class TestAffinityDispatch:
+    """Pooled dispatch by affinity group (``_TaskQueue``): own groups
+    first, then the largest unowned group, then a steal."""
+
+    @staticmethod
+    def _keys(queue, handle, count):
+        return [queue.take(handle)[1][1][0] for _ in range(count)]
+
+    def test_owned_then_largest_unowned_then_newest(self):
+        a, b = object(), object()
+        owners = {}
+        tasks = [(key, f"t{key}") for key in range(7)]
+        groups = [10, 20, 20, 10, 30, 20, 30]
+        queue = _TaskQueue(tasks, groups, owners)
+        # a claims 20, the unowned group with the most queued tasks;
+        # b claims 10, which ties 30 and has the older head.
+        assert self._keys(queue, a, 1) == [1]
+        assert self._keys(queue, b, 1) == [0]
+        assert owners == {20: a, 10: b}
+        # Each drains its own group, oldest first.
+        assert self._keys(queue, a, 2) == [2, 5]
+        assert self._keys(queue, b, 1) == [3]
+        # b's group is empty: it claims unowned 30.
+        assert self._keys(queue, b, 1) == [4]
+        assert owners[30] is b
+        # a has nothing of its own and nothing is unowned: it steals
+        # the newest queued task, and ownership stays put.
+        assert self._keys(queue, a, 1) == [6]
+        assert owners == {20: a, 10: b, 30: b}
+        assert not queue
+
+    def test_ungrouped_round_is_fifo(self):
+        a, b = object(), object()
+        owners = {}
+        queue = _TaskQueue([(k, "t") for k in range(5)], None, owners)
+        assert self._keys(queue, a, 2) == [0, 1]
+        assert self._keys(queue, b, 3) == [2, 3, 4]
+        assert owners == {}
+
+    def test_put_back_restores_the_order(self):
+        a = object()
+        queue = _TaskQueue([(k, "t") for k in range(4)], [1] * 4, {})
+        group, item = queue.take(a)
+        queue.take(a)
+        queue.put_back(group, item)
+        assert self._keys(queue, a, 3) == [0, 2, 3]
+
+    def test_ownership_outlives_rounds_not_workers(self):
+        scenario = get_preset("tiny", 2016)
+        executor = WorkerWatchdog(scenario, {"task_body": _pid_body}, 2)
+        try:
+            tasks = [(key, f"t{key}") for key in range(4)]
+            outcomes = executor.run_tasks(tasks, [10, 10, 20, 20])
+            assert all(kind == "ok" for _r, kind, _e in outcomes.values())
+            first, second = executor._workers
+            assert executor._owners == {10: first, 20: second}
+            executor.run_tasks(tasks[:2], [20, 10])
+            assert executor._owners[10] is first
+            assert executor._owners[20] is second
+            executor._respawn(first)
+            assert 10 not in executor._owners
+            assert executor._owners[20] is second
+        finally:
+            executor.close()
+        assert executor._owners == {}
+
+
+class TestParentClock:
+    """A pooled run leaves the parent's clock where an in-process run
+    leaves it: the executor adds each shipped session's elapsed time
+    in key order, the same float additions ``end_vp_session`` makes."""
+
+    @staticmethod
+    def _clocks(jobs: int) -> list:
+        from repro.scenarios.faults import build_fault_plan
+
+        scenario = get_preset("tiny", 2016)
+        clock = scenario.network.clock
+        targets = list(scenario.hitlist)[:N_DESTS]
+        vps = list(scenario.vps)[:N_VPS]
+        seen = []
+        run_rr_survey(scenario, dests=targets, vps=vps, jobs=jobs)
+        seen.append(clock.now)
+        run_ping_survey(scenario, dests=targets, jobs=jobs)
+        seen.append(clock.now)
+        CampaignRunner(
+            scenario, plan=build_fault_plan("chaos", scenario_seed=2016),
+            jobs=jobs, max_retries=4,
+        ).run(targets=targets, vps=list(scenario.vps))
+        seen.append(clock.now)
+        return [value.hex() for value in seen]
+
+    def test_pooled_clock_equals_in_process(self):
+        serial = self._clocks(1)
+        assert float.fromhex(serial[0]) > 0.0
+        assert float.fromhex(serial[1]) > float.fromhex(serial[0])
+        assert float.fromhex(serial[2]) > float.fromhex(serial[1])
+        for jobs in (2, 4):
+            assert self._clocks(jobs) == serial, jobs

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cli import _render_stats_table
+from repro.obs.metrics import REGISTRY
 from repro.topology.autsys import ASGraph, ASType, AutonomousSystem, Tier
 from repro.topology.generator import TopologyParams, generate_topology
 from repro.topology.routing import RouteKind, RoutingSystem
@@ -134,3 +136,41 @@ class TestValleyFreeInvariant:
     def test_unknown_destination_rejected(self):
         with pytest.raises(KeyError):
             build().routing_tree(99)
+
+
+def _counter(name, **labels):
+    family = REGISTRY.snapshot().get(name)
+    return sum(
+        series["value"]
+        for series in (family or {"series": []})["series"]
+        if all(series["labels"].get(k) == v for k, v in labels.items())
+    )
+
+
+class TestResolutionAccounting:
+    def test_paths_resolve_only_the_source_closure(self):
+        # 2 and 3 are customers of 1; ASes 4..8 are isolated.
+        routing = build(edges_transit=[(2, 1), (3, 1)])
+        resolved = _counter("routing_routes_resolved_total")
+        misses = _counter("routing_tree_cache_lookups_total", result="miss")
+        assert routing.as_path(2, 3) == [2, 1, 3]
+        # 3's up-cone (3, 1) plus the source itself; nothing else.
+        assert routing.cache_len == 3
+        assert _counter("routing_routes_resolved_total") == resolved + 3
+        assert routing.as_path(2, 3) == [2, 1, 3]
+        assert routing.cache_len == 3
+        assert _counter(
+            "routing_tree_cache_lookups_total", result="miss"
+        ) == misses
+        # A whole tree resolves the other five ASes, once.
+        tree = routing.routing_tree(3)
+        assert routing.cache_len == 8 and len(tree) == 3
+        assert routing.routing_tree(3) is tree
+        assert _counter(
+            "routing_tree_cache_lookups_total", result="miss"
+        ) == misses + 1
+        assert _counter("routing_routes_resolved_total") == resolved + 8
+        table = _render_stats_table(REGISTRY.snapshot())
+        assert "routing cache" in table and "routes_resolved" in table
+        routing.clear_cache()
+        assert routing.cache_len == 0

@@ -1075,6 +1075,32 @@ def test_counter_totals_grouping():
 # -- demo pack / CLI -------------------------------------------------------
 
 
+def test_round_cap_with_work_left_reports_capped(tmp_path):
+    """A daemon stopped by ``max_rounds`` with specs still active says
+    so in its manifest and status; one whose specs all finish inside
+    the cap is ``done``."""
+    _responses, full = _run_daemon(tmp_path / "full")
+    assert full["state"] == "done" and full["rounds"] >= 2
+    status = tmp_path / "status.json"
+    _responses, manifest = _run_daemon(
+        tmp_path / "capped", max_rounds=full["rounds"] - 1,
+        status_path=status,
+    )
+    assert manifest["state"] == "capped"
+    assert manifest["rounds"] == full["rounds"] - 1
+    assert any(
+        row["status"] == "active" for row in manifest["specs"].values()
+    )
+    assert json.loads(status.read_text())["state"] == "capped"
+    _responses, roomy = _run_daemon(
+        tmp_path / "roomy", max_rounds=full["rounds"]
+    )
+    assert roomy["state"] == "done"
+    assert roomy["units_flushed"] == full["units_flushed"]
+    with pytest.raises(ValueError, match="max_rounds"):
+        _config(tmp_path, max_rounds=0)
+
+
 def test_demo_pack_rejects_exactly_one_spec(tmp_path):
     quota, overrides = demo_quota()
     daemon = MeasurementDaemon(
