@@ -60,19 +60,20 @@ ships nothing. Tasks may name an affinity group (a VP's ASN), and an
 idle worker keeps to the groups it owns (:class:`_TaskQueue`), so a
 pool resolves each ingress AS's routes and plans once.
 
-Collector discipline: right before every task body the executor calls
-``gc.freeze()``, wherever the body runs. Everything older than the task
-— the scenario, its resolved routes and stamp plans, earlier tasks'
-results and, in a worker, the heap inherited at fork — moves to the
-permanent generation, so collections during the task walk only what
-the task allocated. Frozen objects that fall out of use are still
+Collector discipline: every task body, wherever it runs, runs with
+automatic collection off (:func:`_collector_paused`). Right before the
+body and again right after it, the executor calls ``gc.freeze()``;
+then it restores the caller's setting, also when the body raises. The
+freeze before covers what is older than a first body — the scenario
+and, in a worker, the heap inherited at fork or rebuilt at spawn. The
+freeze after covers what the body left, its resolved routes, stamp
+plans and result included: without it, the first allocation after the
+collector comes back on would start a collection over all of them, once
+per task. So no collection runs during a body, and none afterwards
+walks a body's leftovers. Frozen objects that fall out of use are still
 freed by reference counting; only cyclic garbage would wait, and the
 dataplane makes none (``tests/test_collector.py``). :meth:`close`
 unfreezes what an in-process executor froze; workers exit at close.
-While bodies run, one ``gc.callbacks`` hook counts collections and
-their pauses into ``gc_collections_total{generation}`` and
-``gc_pause_seconds_total{generation}`` — per-process measurements,
-summed home from workers like every other counter.
 """
 
 from __future__ import annotations
@@ -195,51 +196,24 @@ def heartbeat_age_histogram(registry: MetricsRegistry) -> HistogramFamily:
 
 
 # ---------------------------------------------------------------------------
-# Collector telemetry (every mode; see "Collector discipline" above).
+# Collector discipline (every mode; see the module docstring).
 # ---------------------------------------------------------------------------
 
 
 @contextlib.contextmanager
-def _collector_telemetry(registry: MetricsRegistry) -> Iterator[None]:
-    """Count every collection in the ``with`` body into
-    ``gc_collections_total{generation}`` and its pause into
-    ``gc_pause_seconds_total{generation}``.
-
-    The hook can fire inside any allocation, a registry snapshot's
-    iteration included, so its series are bound up front and it only
-    ever adds to them.
-    """
-    collections = registry.counter(
-        "gc_collections_total",
-        "Cyclic-collector runs while executor task bodies ran.",
-        ("generation",),
-    )
-    pauses = registry.counter(
-        "gc_pause_seconds_total",
-        "Wall seconds of cyclic-collector runs while executor task "
-        "bodies ran.",
-        ("generation",),
-    )
-    series = [
-        (collections.labels(str(gen)), pauses.labels(str(gen)))
-        for gen in range(3)
-    ]
-    started = 0.0
-
-    def hook(phase: str, info: dict) -> None:
-        nonlocal started
-        if phase == "start":
-            started = time.perf_counter()
-            return
-        count, pause = series[info["generation"]]
-        count.inc()
-        pause.inc(time.perf_counter() - started)
-
-    gc.callbacks.append(hook)
+def _collector_paused() -> Iterator[None]:
+    """Run one task body with automatic collection off, between a
+    freeze of what is older and a freeze of what it left; restore the
+    caller's setting, also when the body raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.freeze()
     try:
         yield
     finally:
-        gc.callbacks.remove(hook)
+        gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +264,6 @@ def _describe(exc: BaseException) -> str:
 
 
 def _worker_main(payload, setup, conn, heartbeat_value) -> None:
-    """A pool worker's whole life, with its collections counted."""
-    with _collector_telemetry(REGISTRY):
-        _worker_serve(payload, setup, conn, heartbeat_value)
-
-
-def _worker_serve(payload, setup, conn, heartbeat_value) -> None:
     """Long-lived worker loop: recv task, run the body, send result.
 
     ``heartbeat_value`` is the supervised pool's shared slot (``None``
@@ -386,9 +354,9 @@ def _worker_serve(payload, setup, conn, heartbeat_value) -> None:
 
         error: Optional[str] = None
         result = None
-        gc.freeze()
         try:
-            result = body(state, task, task_beat)
+            with _collector_paused():
+                result = body(state, task, task_beat)
         except Exception as exc:  # noqa: BLE001 — shipped to the parent
             error = _describe(exc)
         journal: List[dict] = []
@@ -715,15 +683,15 @@ class WorkerWatchdog:
         outcomes: Outcomes = {}
         state = dict(self.payload, scenario=self.scenario)
         body = self.payload["task_body"]
-        with _collector_telemetry(self._registry):
-            for task in tasks:
-                gc.freeze()
-                self._frozen = True
-                try:
-                    outcomes[task[0]] = (body(state, task, None), "ok", None)
-                except Exception as exc:  # noqa: BLE001 — reported
-                    self.exceptions[task[0]] = exc
-                    outcomes[task[0]] = (None, "failed", _describe(exc))
+        for task in tasks:
+            self._frozen = True
+            try:
+                with _collector_paused():
+                    result = body(state, task, None)
+                outcomes[task[0]] = (result, "ok", None)
+            except Exception as exc:  # noqa: BLE001 — reported
+                self.exceptions[task[0]] = exc
+                outcomes[task[0]] = (None, "failed", _describe(exc))
         return outcomes
 
     def _run_pooled(

@@ -1,39 +1,48 @@
 """The executor's collector discipline.
 
-Right before every task body, in-process or in a pool worker, the
-executor freezes every older object (``gc.freeze``), so collections
-during the task walk only what the task allocated; :meth:`close`
-unfreezes what an in-process executor froze. While bodies run, one
-``gc.callbacks`` hook counts collections and their pauses into the
-registry. Pinned here:
+Every task body, in-process or in a pool worker, runs with automatic
+collection off, between a freeze of every older object and a freeze of
+what the body left (``gc.freeze``); the caller's setting comes back
+afterwards, also when the body raises. :meth:`close` unfreezes what an
+in-process executor froze. Pinned here:
 
 * bodies run with a non-empty permanent generation, from a worker's
   first task on, and the parent's is empty again after ``close``;
-* the collector counters exist after in-process and pooled surveys,
-  and the hook is gone once the executor closes;
-* the premise the freeze relies on: a survey, a faulted campaign and
-  a daemon leave no cyclic garbage of ``repro`` objects behind, so
-  freezing them delays no memory from being freed.
+* bodies see the collector off in-process, in an unsupervised and a
+  supervised pool, and in spawned workers; the caller's setting is back
+  after ``run_tasks``, whichever it was, and what a body left is frozen;
+* the premise the discipline relies on: a survey, a faulted campaign, a
+  daemon, a full study, a traced survey and the walk reference leave no
+  cyclic garbage behind, so pausing and freezing delay no memory from
+  being freed;
+* the executor is the only module with a GC policy.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import gc
+import multiprocessing
 import tempfile
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.core.survey import run_rr_survey
+import repro
+from repro.core import parallel
+from repro.core.study import run_full_study
+from repro.core.survey import run_ping_survey, run_rr_survey
 from repro.faults import (
     CampaignRunner,
     FaultPlan,
     SupervisionConfig,
     WorkerWatchdog,
 )
-from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import TRACER
 from repro.scenarios.faults import FAULT_PRESETS
 from repro.scenarios.presets import get_preset
 from repro.service.credits import TenantQuota
@@ -45,15 +54,39 @@ def _freeze_count_body(state: dict, task: tuple, heartbeat) -> int:
     return gc.get_freeze_count()
 
 
+def _collector_on_body(state: dict, task: tuple, heartbeat) -> bool:
+    """Executor task body: whether automatic collection is on; a task
+    whose args say ``raise`` fails after looking."""
+    enabled = gc.isenabled()
+    if "raise" in task[2:]:
+        raise RuntimeError(f"collector on: {enabled}")
+    return enabled
+
+
+#: What :func:`_leftover_body` keeps alive past its task.
+_LEFTOVERS: list = []
+
+
+def _leftover_body(state: dict, task: tuple, heartbeat) -> None:
+    """Executor task body: keeps 1,000 new tracked objects alive."""
+    _LEFTOVERS.append([[] for _ in range(1000)])
+
+
 @pytest.fixture(scope="module")
 def world():
     """A private tiny Internet for this module (seed 7)."""
     return get_preset("tiny", 7)
 
 
-def _collections(snapshot: dict) -> int:
-    family = snapshot.get("gc_collections_total")
-    return sum(s["value"] for s in family["series"]) if family else 0
+@contextlib.contextmanager
+def _collector(enabled: bool):
+    """The caller's collector setting for the ``with`` body."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class TestFreeze:
@@ -85,21 +118,62 @@ class TestFreeze:
         assert gc.get_freeze_count() == 0
 
 
-class TestCollectorTelemetry:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_survey_counts_collections(self, jobs, capsys):
-        """A cold survey (trees and plans built in the bodies)."""
-        world = get_preset("tiny", 7)
-        hooks = len(gc.callbacks)
-        before = _collections(REGISTRY.snapshot())
-        run_rr_survey(world, jobs=jobs)
-        snapshot = REGISTRY.snapshot()
-        assert "gc_collections_total" in snapshot
-        assert "gc_pause_seconds_total" in snapshot
-        assert _collections(snapshot) > before
-        assert len(gc.callbacks) == hooks
-        assert main(["stats", "--preset", "tiny"]) == 0
-        assert "collector (" in capsys.readouterr().out
+class TestPausedCollector:
+    @pytest.mark.parametrize(
+        "jobs, config",
+        [(1, None), (2, None), (1, SupervisionConfig())],
+        ids=["in-process", "pool", "supervised"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_bodies_run_paused_and_caller_setting_returns(
+        self, world, jobs, config, enabled
+    ):
+        """The last task raises, so the setting the caller gets back
+        is the one a failed body left."""
+        tasks = [(0, "a"), (1, "b"), (2, "c", "raise")]
+        with _collector(enabled):
+            with WorkerWatchdog(
+                world, {"task_body": _collector_on_body}, jobs, config
+            ) as executor:
+                outcomes = executor.run_tasks(tasks)
+                assert gc.isenabled() is enabled
+            assert gc.isenabled() is enabled
+        assert outcomes[0] == (False, "ok", None)
+        assert outcomes[1] == (False, "ok", None)
+        assert outcomes[2][1:] == (
+            "failed", "RuntimeError: collector on: False"
+        )
+
+    def test_spawned_workers_run_bodies_paused(self, world, monkeypatch):
+        """A spawned worker starts with the collector on, like any
+        fresh interpreter; its bodies still run with it off."""
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            parallel, "multiprocessing",
+            types.SimpleNamespace(get_context=lambda: spawn),
+        )
+        with WorkerWatchdog(
+            world, {"task_body": _collector_on_body}, 2
+        ) as executor:
+            outcomes = executor.run_tasks([(i, str(i)) for i in range(4)])
+        assert all(outcomes[key] == (False, "ok", None) for key in range(4))
+        assert gc.isenabled()
+
+    def test_in_process_bodies_leave_their_objects_frozen(self, world):
+        """Unfrozen, the body's leftovers would be the young heap the
+        next collection walks. ``gc.get_objects()`` lists every tracked
+        object outside the permanent generation."""
+        try:
+            with WorkerWatchdog(
+                world, {"task_body": _leftover_body}, 1
+            ) as executor:
+                executor.run_tasks([(0, "a")])
+                collectable = {id(obj) for obj in gc.get_objects()}
+            (left,) = _LEFTOVERS
+            assert all(gc.is_tracked(obj) for obj in [left, *left])
+            assert not any(id(obj) in collectable for obj in [left, *left])
+        finally:
+            _LEFTOVERS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +224,36 @@ def _daemon(world, tmp: Path) -> None:
     daemon.run()
 
 
-@pytest.mark.parametrize("run", [_survey, _campaign, _daemon])
+def _study(world, tmp: Path) -> None:
+    """Both §3.1 studies: the ping survey's shards, then the RR survey."""
+    run_full_study(world)
+
+
+def _traced_survey(world, tmp: Path) -> None:
+    TRACER.configure(True)
+    try:
+        run_rr_survey(world, dests=list(world.hitlist)[:60], jobs=1)
+    finally:
+        TRACER.configure(False)
+        TRACER.reset()
+
+
+def _walk_reference(world, tmp: Path) -> None:
+    """The walk the parity tests compare replay against."""
+    world.prober.batching = False
+    dests = list(world.hitlist)[:60]
+    run_rr_survey(world, dests=dests, jobs=1)
+    run_ping_survey(world, dests=dests, jobs=1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_survey, _campaign, _daemon, _study, _traced_survey, _walk_reference],
+)
 def test_runs_leave_no_cyclic_repro_garbage(run):
     """A fresh world, run with the collector off, then one collection
-    that keeps (``DEBUG_SAVEALL``) whatever it finds unreachable."""
+    that keeps (``DEBUG_SAVEALL``) whatever it finds unreachable, of
+    any type."""
     world = get_preset("tiny", 7)
     gc.collect()
     gc.disable()
@@ -163,12 +263,69 @@ def test_runs_leave_no_cyclic_repro_garbage(run):
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         cyclic = Counter(
-            f"{obj.__module__}.{type(obj).__qualname__}"
+            f"{type(obj).__module__}.{type(obj).__qualname__}"
             for obj in gc.garbage
-            if str(getattr(obj, "__module__", "")).startswith("repro")
         )
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
     assert not cyclic, cyclic
+
+
+# ---------------------------------------------------------------------------
+# One place with a GC policy.
+# ---------------------------------------------------------------------------
+
+#: The ``gc`` calls that change what the collector does or when.
+POLICY_CALLS = frozenset(
+    {"freeze", "unfreeze", "disable", "enable", "collect", "set_threshold"}
+)
+
+
+def _policy_calls(path: Path) -> list:
+    """``line: gc.<call>`` for every policy call in ``path``, however
+    the ``gc`` module or its functions were imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    modules = {"gc"}
+    functions = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name == "gc"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            functions.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name in POLICY_CALLS
+            )
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+            and func.attr in POLICY_CALLS
+        ) or (isinstance(func, ast.Name) and func.id in functions):
+            found.append(f"{node.lineno}: {ast.unparse(func)}")
+    return found
+
+
+def test_only_the_executor_has_a_gc_policy():
+    root = Path(repro.__file__).parent
+    executor = root / "core" / "parallel.py"
+    offenders = {
+        str(path.relative_to(root)): calls
+        for path in sorted(root.rglob("*.py"))
+        if path != executor
+        for calls in [_policy_calls(path)]
+        if calls
+    }
+    assert not offenders, offenders
+    assert _policy_calls(executor)
