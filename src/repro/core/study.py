@@ -15,10 +15,13 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.survey import (
     PingSurvey,
     RRSurvey,
+    ping_part,
+    rr_part,
+    run_parts,
     run_ping_survey,
-    run_rr_survey,
 )
 from repro.obs.metrics import REGISTRY
+from repro.obs.spans import TRACER
 from repro.obs.timing import timed
 from repro.scenarios.internet import Scenario
 from repro.scenarios.presets import get_preset
@@ -58,16 +61,27 @@ class StudyData:
 
 
 def run_full_study(scenario: Scenario, jobs: int = 1) -> StudyData:
-    """Run both §3.1 studies against a scenario.
+    """Run both §3.1 studies against a scenario, as one executor round.
 
-    ``jobs`` is forwarded to the survey engine: ``jobs >= 2`` fans the
-    campaigns out across the executor's worker pool (see
-    :mod:`repro.core.parallel`); the RR survey's persisted JSON is
-    byte-identical for any value.
+    The origin ping survey's shards come first, then one ping-RR task
+    per VP (:func:`~repro.core.survey.run_parts`), so ``jobs >= 2``
+    runs both on one worker pool (see :mod:`repro.core.parallel`): the
+    shards go to the worker that owns the origin's AS, which the RR
+    tasks of that AS reuse. Every ``jobs`` value leaves the same
+    surveys, the RR survey's persisted JSON byte for byte, and the same
+    parent clock and telemetry.
     """
+    targets = list(scenario.hitlist)
+    vps = list(scenario.vps)
     with timed("full_study"):
-        ping_survey = run_ping_survey(scenario, jobs=jobs)
-        rr_survey = run_rr_survey(scenario, jobs=jobs)
+        with TRACER.span(
+            "full_study", clock=scenario.network.clock,
+            vps=len(vps), targets=len(targets), jobs=jobs or 1,
+        ):
+            ping_survey, rr_survey = run_parts(scenario, jobs, [
+                ping_part(scenario, targets),
+                rr_part(scenario, targets, vps),
+            ])
     return StudyData(
         scenario=scenario, ping_survey=ping_survey, rr_survey=rr_survey
     )

@@ -27,8 +27,10 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -61,6 +63,10 @@ __all__ = [
     "PingSurvey",
     "RRSurvey",
     "SurveyFormatError",
+    "SurveyPart",
+    "ping_part",
+    "rr_part",
+    "run_parts",
     "run_ping_survey",
     "run_rr_survey",
     "save_survey",
@@ -597,28 +603,160 @@ def _ping_body(state: dict, task: tuple, heartbeat) -> List[Tuple[int, bool]]:
     )
 
 
-def _run_survey_tasks(
-    scenario: Scenario, jobs: int, payload: dict, tasks: List[tuple],
-    kind: str, groups: Optional[List[int]] = None,
-) -> list:
-    """Results of survey ``tasks`` on the executor, in key order
-    (``groups`` as for :meth:`WorkerWatchdog.run_tasks`).
+class SurveyPart(NamedTuple):
+    """One survey's share of an executor round (:func:`run_parts`).
 
-    A failed task raises :class:`SurveyWorkerError` for the first
-    failed key, chained from the original exception when the body ran
-    in-process.
+    ``body`` runs each ``(key, label)`` of ``tasks`` against
+    ``payload``; ``groups`` names each task's affinity group, and
+    ``fold`` turns the results, in key order, into the survey. ``kind``
+    names the survey in a :class:`SurveyWorkerError`.
     """
+
+    kind: str
+    body: Callable
+    payload: dict
+    tasks: List[Tuple[int, str]]
+    groups: List[Hashable]
+    fold: Callable[[list], object]
+
+
+def _part_body(state: dict, task: tuple, heartbeat):
+    """Executor task body of a :func:`run_parts` round: ``task`` is
+    ``((part, key), label)``, run by that part's body on its payload."""
+    (part, key), label = task
+    body, payload = state["parts"][part]
+    return body(
+        dict(payload, scenario=state["scenario"]), (key, label), heartbeat
+    )
+
+
+def run_parts(
+    scenario: Scenario, jobs: int, parts: Sequence[SurveyPart]
+) -> list:
+    """Run every part's tasks as one executor round; returns each
+    part's folded survey, in part order.
+
+    Tasks are keyed ``(part, key)``. The executor runs them in-process
+    in that order and merges pooled telemetry and session clock time
+    in it, so a round of several parts leaves the parent's registry,
+    options load and clock exactly as one round per part, in part
+    order, would. A failed task raises :class:`SurveyWorkerError` for
+    the first failed key, chained from the original exception when the
+    body ran in-process.
+    """
+    payload = {
+        "task_body": _part_body,
+        "parts": [(part.body, part.payload) for part in parts],
+    }
+    tasks = [
+        ((index, key), label)
+        for index, part in enumerate(parts)
+        for key, label in part.tasks
+    ]
+    groups = [group for part in parts for group in part.groups]
     with WorkerWatchdog(scenario, payload, jobs) as executor:
         outcomes = executor.run_tasks(tasks, groups)
-    results = []
-    for key, label in tasks:
-        result, status, error = outcomes[key]
+    results: List[list] = [[] for _ in parts]
+    for (index, key), label in tasks:
+        result, status, error = outcomes[index, key]
         if status != "ok":
             raise SurveyWorkerError(
-                kind, key, label, error
-            ) from executor.exceptions.get(key)
-        results.append(result)
-    return results
+                parts[index].kind, key, label, error
+            ) from executor.exceptions.get((index, key))
+        results[index].append(result)
+    return [part.fold(rows) for part, rows in zip(parts, results)]
+
+
+def ping_part(
+    scenario: Scenario,
+    targets: Sequence[Destination],
+    count: int = 3,
+    pps: float = DEFAULT_PPS,
+) -> SurveyPart:
+    """The origin ping survey of ``targets`` as a :class:`SurveyPart`.
+
+    Destinations are dealt round-robin into :data:`PING_SHARDS` fixed
+    shards, one task each, so every ``jobs`` value runs the same
+    per-shard loss sessions. The shards take the origin's ASN as their
+    group, like an RR task from the origin's AS: all of them probe from
+    that AS, so the worker that owns it compiles its plans once.
+    """
+    origin = scenario.origin
+    if origin is None:
+        raise ValueError("scenario has no origin vantage point")
+    survey = PingSurvey(origin_name=origin.name)
+    shards = (
+        split_round_robin(list(targets), min(PING_SHARDS, len(targets)))
+        if targets
+        else []
+    )
+
+    def fold(results: list) -> PingSurvey:
+        for rows in results:
+            for addr, responded in rows:
+                survey.responsive[addr] = responded
+        return survey
+
+    return SurveyPart(
+        kind="ping",
+        body=_ping_body,
+        payload={"shards": shards, "count": count, "pps": pps},
+        tasks=[(index, f"shard-{index}") for index in range(len(shards))],
+        groups=[origin.asn] * len(shards),
+        fold=fold,
+    )
+
+
+def rr_part(
+    scenario: Scenario,
+    targets: Sequence[Destination],
+    vps: Sequence[VantagePoint],
+    pps: float = DEFAULT_PPS,
+    order: ProbeOrder = ProbeOrder.RANDOM,
+    slots: int = 9,
+    validate: bool = True,
+) -> SurveyPart:
+    """The ping-RR survey of ``targets`` from ``vps`` as a
+    :class:`SurveyPart`: one task per VP, grouped by the VP's AS."""
+    targets = list(targets)
+    vps = list(vps)
+    survey = RRSurvey(
+        vps=vps,
+        dests=targets,
+        responses=[{} for _ in targets],
+        inprefix_addrs=[set() for _ in targets],
+        rr_slots=slots,
+    )
+
+    def fold(per_vp: list) -> RRSurvey:
+        # Merge in VP order so per-destination dict insertion order
+        # (and therefore the persisted JSON) is independent of
+        # completion order.
+        for vp_index, (rows, inprefix, _quality) in enumerate(per_vp):
+            for dest_index, slot in rows:
+                survey.responses[dest_index][vp_index] = slot
+            for dest_index, addrs in inprefix:
+                survey.inprefix_addrs[dest_index].update(addrs)
+        return survey
+
+    return SurveyPart(
+        kind="rr",
+        body=_rr_body,
+        payload={
+            "targets": targets,
+            "position": {
+                dest.addr: index for index, dest in enumerate(targets)
+            },
+            "vps": vps,
+            "order": order,
+            "slots": slots,
+            "pps": pps,
+            "validate": validate,
+        },
+        tasks=[(index, vp.name) for index, vp in enumerate(vps)],
+        groups=[vp.asn for vp in vps],
+        fold=fold,
+    )
 
 
 def run_ping_survey(
@@ -630,34 +768,17 @@ def run_ping_survey(
 ) -> PingSurvey:
     """The origin-host plain-ping study (§3.1's second study).
 
-    Destinations are dealt round-robin into :data:`PING_SHARDS` fixed
-    shards, one executor task each, so every ``jobs`` value runs the
-    same per-shard loss sessions and produces identical results.
+    One executor round of :func:`ping_part`'s fixed shards, so every
+    ``jobs`` value produces identical results.
     """
-    if scenario.origin is None:
-        raise ValueError("scenario has no origin vantage point")
     targets = list(scenario.hitlist) if dests is None else list(dests)
-    survey = PingSurvey(origin_name=scenario.origin.name)
-    shards = (
-        split_round_robin(targets, min(PING_SHARDS, len(targets)))
-        if targets
-        else []
-    )
-    payload = {
-        "task_body": _ping_body, "shards": shards, "count": count,
-        "pps": pps,
-    }
-    tasks = [(index, f"shard-{index}") for index in range(len(shards))]
+    part = ping_part(scenario, targets, count=count, pps=pps)
     with TRACER.span(
         "ping_survey", clock=scenario.network.clock,
         targets=len(targets), jobs=jobs or 1,
     ):
         with timed("ping_survey"):
-            for rows in _run_survey_tasks(
-                scenario, jobs, payload, tasks, "ping"
-            ):
-                for addr, responded in rows:
-                    survey.responsive[addr] = responded
+            (survey,) = run_parts(scenario, jobs, [part])
     return survey
 
 
@@ -693,39 +814,14 @@ def run_rr_survey(
     """
     targets = list(scenario.hitlist) if dests is None else list(dests)
     vp_list = list(scenario.vps) if vps is None else list(vps)
-    survey = RRSurvey(
-        vps=vp_list,
-        dests=targets,
-        responses=[{} for _ in targets],
-        inprefix_addrs=[set() for _ in targets],
-        rr_slots=slots,
+    part = rr_part(
+        scenario, targets, vp_list, pps=pps, order=order, slots=slots,
+        validate=validate,
     )
-    payload = {
-        "task_body": _rr_body,
-        "targets": targets,
-        "position": {dest.addr: index for index, dest in enumerate(targets)},
-        "vps": vp_list,
-        "order": order,
-        "slots": slots,
-        "pps": pps,
-        "validate": validate,
-    }
-    tasks = [(index, vp.name) for index, vp in enumerate(vp_list)]
     with TRACER.span(
         "rr_survey", clock=scenario.network.clock,
         vps=len(vp_list), targets=len(targets), jobs=jobs or 1,
     ):
         with timed("rr_survey"):
-            per_vp = _run_survey_tasks(
-                scenario, jobs, payload, tasks, "rr",
-                groups=[vp.asn for vp in vp_list],
-            )
-        # Merge in VP order so per-destination dict insertion order (and
-        # therefore the persisted JSON) is independent of completion
-        # order.
-        for vp_index, (rows, inprefix, _quality) in enumerate(per_vp):
-            for dest_index, slot in rows:
-                survey.responses[dest_index][vp_index] = slot
-            for dest_index, addrs in inprefix:
-                survey.inprefix_addrs[dest_index].update(addrs)
+            (survey,) = run_parts(scenario, jobs, [part])
     return survey

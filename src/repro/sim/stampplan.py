@@ -67,9 +67,8 @@ duplicating their templates.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from repro.net.addr import same_slash24
 from repro.net.options import RecordRouteOption
 from repro.topology.routers import Hop, RouterNode
 
@@ -92,6 +91,7 @@ KIND_PING = 1
 # Deterministic stop causes for one direction's symbolic walk, in
 # within-hop precedence order (the flap check precedes the TTL check
 # precedes the options/filter processing in ``Network._walk``).
+# ``_leg`` ranks stops as ``hop * 4 + cause``, so they stay below 4.
 _ARRIVE = 0
 _FLAP = 1
 _TTL = 2
@@ -203,17 +203,18 @@ class SegmentPlan:
 
     Per-hop facts (``asns``, ``edges``, ``decr``, ``filter_idx``,
     ``rate``, ``stamps``) drive stop-point resolution; the aggregates
-    (``load_full``, ``stamp_addrs``, per-rate-locus cumulative load
-    prefixes inside ``rate``) let the template builder consume a whole
-    segment as a few tuple merges. ``partial(idx)`` memoises the same
-    aggregates truncated at a stop index — the filter locus is fixed
+    (``stamp_addrs``, per-rate-locus cumulative load prefixes inside
+    ``rate``, and ``partial``'s per-AS load) let the template builder
+    consume a segment as a few tuple merges. ``partial(idx)`` memoises
+    them for the hops before a stop index — the filter locus is fixed
     per segment and TTL stops are fixed per probe TTL, so each index
-    computes once.
+    computes once; ``partial(n)``, the whole segment, is seeded from
+    ``load_full``.
     """
 
     __slots__ = (
         "n", "asns", "edges", "decr", "filter_idx", "rate", "stamps",
-        "load_full", "stamp_addrs", "_partial",
+        "stamp_addrs", "_partial",
     )
 
     def __init__(
@@ -236,16 +237,17 @@ class SegmentPlan:
         self.filter_idx = filter_idx
         self.rate = rate
         self.stamps = stamps
-        self.load_full = load_full
         self.stamp_addrs = tuple(addr for _idx, addr in stamps)
-        self._partial: Dict[int, tuple] = {}
+        self._partial: Dict[int, tuple] = {
+            n: (load_full, self.stamp_addrs, rate),
+        }
 
     def partial(self, idx: int) -> tuple:
-        """Aggregates for hops ``[0, idx)``: (load, n_stamps, n_rate).
+        """Aggregates for hops ``[0, idx)``: (load, stamps, rate).
 
-        ``load`` is a ``((asn, count), ...)`` tuple; ``n_stamps`` and
-        ``n_rate`` count how many of this segment's stamps / rate loci
-        sit strictly before ``idx``. Memoised per index — stop indices
+        ``load`` is a ``((asn, count), ...)`` tuple; ``stamps`` and
+        ``rate`` are the stamp addresses and rate loci that sit
+        strictly before ``idx``. Memoised per index — stop indices
         are deterministic per (segment, options-shape, TTL), so each
         is computed once per segment lifetime.
         """
@@ -265,7 +267,11 @@ class SegmentPlan:
             if entry[0] >= idx:
                 break
             n_rate += 1
-        result = (tuple(load.items()), n_stamps, n_rate)
+        result = (
+            tuple(load.items()),
+            self.stamp_addrs[:n_stamps],
+            self.rate[:n_rate],
+        )
         self._partial[idx] = result
         return result
 
@@ -275,28 +281,33 @@ def crossed_flaps(
 ) -> Optional[FrozenSet]:
     """The part of ``flapset`` a leg over ``segplans`` can cross.
 
-    ``_Walker.leg`` tests only the AS adjacencies inside each segment
-    and at the boundaries between consecutive non-empty segments, so
-    restricting the flap set to those edges leaves the leg's stop
+    A leg's flap check tests only the edges :func:`_leg_edges` lists,
+    so restricting the flap set to those leaves the leg's stop
     unchanged. ``None`` when the leg crosses no flapped adjacency.
     """
     if not flapset or segplans is None:
         return None
-    crossed = []
+    return frozenset(
+        edge for _hop, edge in _leg_edges(segplans) if edge in flapset
+    ) or None
+
+
+def _leg_edges(segplans) -> Iterator[Tuple[int, Tuple[int, int]]]:
+    """``(hop, edge)`` for every AS adjacency a leg crosses, in order:
+    inside each segment and at the boundary between consecutive
+    non-empty segments; ``hop`` counts from the leg's first hop, and an
+    adjacency belongs to the hop it enters."""
+    base = 0
     prev = None
     for sp in segplans:
-        if sp.n == 0:
-            continue
-        first = sp.asns[0]
-        if prev is not None and prev != first:
-            edge = (prev, first) if prev < first else (first, prev)
-            if edge in flapset:
-                crossed.append(edge)
-        for _index, edge in sp.edges:
-            if edge in flapset:
-                crossed.append(edge)
-        prev = sp.asns[-1]
-    return frozenset(crossed) if crossed else None
+        if sp.n:
+            first = sp.asns[0]
+            if prev is not None and prev != first:
+                yield base, (prev, first) if prev < first else (first, prev)
+            for index, edge in sp.edges:
+                yield base + index, edge
+            prev = sp.asns[-1]
+        base += sp.n
 
 
 def compile_segment(network, hops: Sequence[Hop]) -> SegmentPlan:
@@ -425,178 +436,109 @@ class RoundTripPlan:
         return rev
 
 
-class _Walker:
-    """One round trip's symbolic walk state (compile-time only).
+def _leg(
+    network,
+    ops: List[list],
+    load: Dict[int, int],
+    rr: List[int],
+    slots: int,
+    segs: Tuple[SegmentPlan, SegmentPlan],
+    ttl: int,
+    has_options: bool,
+    flapset: Optional[FrozenSet],
+) -> Optional[Outcome]:
+    """One direction's symbolic walk; the outcome of its deterministic
+    stop, or ``None`` when the packet arrives.
 
-    Accumulates the replay ops, the per-AS options load, and the RR
-    stamp list while resolving each leg's earliest deterministic
-    stop. The reverse leg carries on from the forward one's state,
-    with ``rr`` swapped for the Echo Reply's Record Route and
-    ``flapset`` for the reverse restriction.
+    ``segs`` is the leg's two segments in traversal order: the forward
+    (trunk, tail) or the reply's (access, trunk). The earliest stop is
+    found as ``hop * 4 + cause``, hops counted over the whole leg, so
+    at one hop the walk's within-hop order decides (flap before TTL
+    before filter). An options packet then folds the hops before the
+    stop into the template under construction: their rate gates onto
+    ``ops``, each failing with the per-AS load as of its own hop
+    (inclusive); their load into ``load``, plus the stop hop's own when
+    it filters (it processed the options before dropping them); their
+    stamps into ``rr`` while slots are free. A Time Exceeded appends
+    its error reply's loss gate after them.
     """
-
-    __slots__ = ("network", "mx", "flapset", "slots", "ops", "load", "rr")
-
-    def __init__(
-        self, network, slots: int, flapset: Optional[FrozenSet]
-    ) -> None:
-        self.network = network
-        self.mx = network._mx
-        self.flapset = flapset
-        self.slots = slots
-        self.ops: List[list] = []
-        self.load: Dict[int, int] = {}
-        self.rr: List[int] = []
-
-    def timeout(self, *extra) -> Outcome:
-        return Outcome(
-            counters=(self.mx.sent,) + extra,
-            load=tuple(self.load.items()),
-        )
-
-    def add_rate_ops(self, sp: SegmentPlan, upto_rate: int) -> None:
-        """Append the first ``upto_rate`` rate gates of a segment.
-
-        Each gate's fail outcome reports the per-AS load as of its own
-        hop (inclusive): the pre-segment accumulation plus the locus's
-        precompiled in-segment prefix — the exact snapshot the legacy
-        walk would have in ``options_load`` at that drop.
-        """
-        if not upto_rate:
-            return
-        mx = self.mx
-        load = self.load
-        for entry in sp.rate[:upto_rate]:
-            _idx, router, pps, prefix = entry
-            at_gate = dict(load)
-            for asn, count in prefix:
-                at_gate[asn] = at_gate.get(asn, 0) + count
-            self.ops.append([
-                router,
-                pps,
-                None,
-                Outcome(
-                    counters=(mx.sent, mx.dropped_rate_limited),
-                    load=tuple(at_gate.items()),
-                ),
-            ])
-
-    def add_stamps(self, addrs: Sequence[int]) -> None:
-        rr = self.rr
-        free = self.slots - len(rr)
-        if free > 0:
-            rr.extend(addrs[:free])
-
-    def emit_full(self, sp: SegmentPlan) -> None:
-        """Fold a fully-traversed segment into the options-packet state."""
-        self.add_rate_ops(sp, len(sp.rate))
-        load = self.load
-        for asn, count in sp.load_full:
-            load[asn] = load.get(asn, 0) + count
-        self.add_stamps(sp.stamp_addrs)
-
-    def emit_partial(self, sp: SegmentPlan, idx: int, bump_stop: bool) -> None:
-        """Fold hops ``[0, idx)`` of the stop segment; ``bump_stop``
-        adds the stop hop's own load (the filtering hop processed the
-        options packet before dropping it)."""
-        part_load, n_stamps, n_rate = sp.partial(idx)
-        self.add_rate_ops(sp, n_rate)
-        load = self.load
-        for asn, count in part_load:
-            load[asn] = load.get(asn, 0) + count
-        self.add_stamps(sp.stamp_addrs[:n_stamps])
-        if bump_stop:
-            asn = sp.asns[idx]
-            load[asn] = load.get(asn, 0) + 1
-
-    def leg(self, segplans, ttl_in: int, has_options: bool):
-        """One direction's symbolic walk; returns (stop_kind, info).
-
-        Finds the earliest deterministic stop across the direction's
-        segments as a ``(segment, hop, precedence)`` triple — the
-        precedence ranks encode the walk's within-hop check order
-        (flap before TTL before filter), so ties at one hop resolve
-        exactly as the legacy walk does — then appends the leg's rate
-        gates to ``ops`` and advances the main-line RR / options-load
-        state up to that stop.
-        """
-        best = None
-        flapset = self.flapset
-        if flapset:
-            prev = None
-            for seg_i, sp in enumerate(segplans):
-                if sp.n == 0:
-                    continue
-                first = sp.asns[0]
-                if prev is not None and prev != first:
-                    # The adjacency straddling the segment boundary.
-                    edge = (prev, first) if prev < first else (first, prev)
-                    if edge in flapset:
-                        best = (seg_i, 0, _FLAP, None)
-                        break
-                found = None
-                for index, edge in sp.edges:
-                    if edge in flapset:
-                        found = (seg_i, index, _FLAP, None)
-                        break
-                if found is not None:
-                    best = found
-                    break
-                prev = sp.asns[-1]
-        remaining = ttl_in
-        for seg_i, sp in enumerate(segplans):
-            if len(sp.decr) >= remaining:
-                index, sends, icmp_addr = sp.decr[remaining - 1]
-                cand = (seg_i, index, _TTL, (sends, icmp_addr))
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
+    first, second = segs
+    n1 = first.n
+    stop = (n1 + second.n) * 4 + _ARRIVE
+    if flapset:
+        for hop, edge in _leg_edges(segs):
+            if edge in flapset:
+                stop = hop * 4 + _FLAP
                 break
-            remaining -= len(sp.decr)
-        if has_options:
-            for seg_i, sp in enumerate(segplans):
-                if sp.filter_idx is not None:
-                    cand = (seg_i, sp.filter_idx, _FILTER, None)
-                    if best is None or cand[:3] < best[:3]:
-                        best = cand
-                    break
-            stop_seg = len(segplans) if best is None else best[0]
-            for seg_i in range(stop_seg):
-                self.emit_full(segplans[seg_i])
-            if best is not None:
-                self.emit_partial(
-                    segplans[stop_seg], best[1], best[2] == _FILTER
-                )
-        if best is None:
-            return _ARRIVE, None
-        return best[2], best[3]
-
-
-def _stop_outcome(walker: _Walker, stop_kind: int, stop_info) -> Outcome:
-    """The outcome for a leg's deterministic stop, forward or reverse;
-    appends the error-reply loss gate when a Time Exceeded fires."""
-    mx = walker.mx
-    if stop_kind == _FLAP:
-        return walker.timeout(
-            mx.dropped_fault, walker.network._injector.drops_flap
-        )
-    if stop_kind == _FILTER:
-        return walker.timeout(mx.dropped_filtered)
-    sends, icmp_addr = stop_info
+    ttl_left = ttl - len(first.decr)
+    if ttl_left <= 0:
+        index, sends, icmp_addr = first.decr[ttl - 1]
+        stop = min(stop, index * 4 + _TTL)
+    elif ttl_left <= len(second.decr):
+        index, sends, icmp_addr = second.decr[ttl_left - 1]
+        stop = min(stop, (n1 + index) * 4 + _TTL)
+    if has_options:
+        index = first.filter_idx
+        if index is None and second.filter_idx is not None:
+            index = n1 + second.filter_idx
+        if index is not None:
+            stop = min(stop, index * 4 + _FILTER)
+    hop, cause = divmod(stop, 4)
+    mx = network._mx
+    if has_options:
+        for sp, upto in ((first, min(hop, n1)), (second, hop - n1)):
+            if upto <= 0:
+                continue
+            seg_load, stamps, rate = sp.partial(upto)
+            # With nothing loaded before the segment (a forward trunk),
+            # a gate's load is its locus's own prefix tuple, and the
+            # segment's load is copied in order: both as the merge
+            # would build them, shared by every template over it.
+            for _index, router, pps, prefix in rate:
+                if load:
+                    at_gate = dict(load)
+                    for asn, count in prefix:
+                        at_gate[asn] = at_gate.get(asn, 0) + count
+                    prefix = tuple(at_gate.items())
+                ops.append([router, pps, None, Outcome(
+                    counters=(mx.sent, mx.dropped_rate_limited),
+                    load=prefix,
+                )])
+            if load:
+                for asn, count in seg_load:
+                    load[asn] = load.get(asn, 0) + count
+            else:
+                load.update(seg_load)
+            free = slots - len(rr)
+            if free > 0:
+                rr.extend(stamps[:free])
+        if cause == _FILTER:
+            asn = first.asns[hop] if hop < n1 else second.asns[hop - n1]
+            load[asn] = load.get(asn, 0) + 1
+    if cause == _ARRIVE:
+        return None
+    at_stop = tuple(load.items())
+    if cause == _FLAP:
+        counters = (mx.sent, mx.dropped_fault, network._injector.drops_flap)
+        return Outcome(counters=counters, load=at_stop)
+    if cause == _FILTER:
+        return Outcome(counters=(mx.sent, mx.dropped_filtered), load=at_stop)
     if not sends:
-        return walker.timeout(mx.dropped_ttl)
+        return Outcome(counters=(mx.sent, mx.dropped_ttl), load=at_stop)
     # Time Exceeded quoting the offending header: the quote includes
     # the full IP header (options and all), so the quoted RR is the
     # stamps accumulated strictly before the expiry hop — on the
     # reverse leg, the reply's Record Route so far. The error reply
     # itself faces one loss draw.
-    walker.ops.append([None, None, None, walker.timeout(mx.ttl_exceeded_sent)])
+    counters = (mx.sent, mx.ttl_exceeded_sent)
+    ops.append([None, None, None, Outcome(counters=counters, load=at_stop)])
     return Outcome(
         replied=True,
         ttl_exceeded=True,
         error_source=icmp_addr,
-        quoted=tuple(walker.rr),
-        counters=(mx.sent, mx.ttl_exceeded_sent),
-        load=tuple(walker.load.items()),
+        quoted=tuple(rr),
+        counters=counters,
+        load=at_stop,
     )
 
 
@@ -616,9 +558,12 @@ def build_template(
     the options-load boundary per stop cause, the host's silent-TTL,
     options-dropping and responsiveness checks, the reply's RR
     stamping — consuming segment aggregates rather than re-walking
-    hops: a full segment folds in as one load-tuple merge, a
-    stamp-tuple extend, and its precompiled rate loci; only a stop
-    segment is truncated (via the memoised ``SegmentPlan.partial``).
+    hops: each segment folds in, up to its leg's stop, as one
+    load-tuple merge, a stamp-tuple extend and its precompiled rate
+    loci (the memoised ``SegmentPlan.partial``). One pass builds the
+    template into local ``ops``, ``load`` and ``rr`` lists, one
+    :func:`_leg` call per direction; a gate and an outcome that see
+    the same load share its snapshot tuple.
 
     ``flapset`` is restricted per leg (:func:`crossed_flaps`). A flow
     whose forward leg crosses no flapped adjacency gets its placid
@@ -627,39 +572,44 @@ def build_template(
     resolving it is never needed to decide.
     """
     fwd = plan.fwd
-    fwd_flaps = crossed_flaps(flapset, fwd)
-    placid = None
-    if flapset and fwd_flaps is None:
-        placid = plan.template(network, kind, slots, ttl, None)
-        rev = plan.rev
-        if rev is _UNRESOLVED or crossed_flaps(flapset, rev) is None:
-            return placid
+    placid = fwd_flaps = None
+    if flapset:
+        fwd_flaps = crossed_flaps(flapset, fwd)
+        if fwd_flaps is None:
+            placid = plan.template(network, kind, slots, ttl, None)
+            rev = plan.rev
+            if rev is _UNRESOLVED or crossed_flaps(flapset, rev) is None:
+                return placid
     mx = network._mx
     if fwd is None:
         return Template((), Outcome(counters=(mx.sent, mx.dropped_no_route)))
-    walker = _Walker(network, slots, fwd_flaps)
-    ops = walker.ops
+    ops: List[list] = []
+    load: Dict[int, int] = {}
+    rr: List[int] = []
     has_rr = kind == KIND_RR
     host = plan.host
-    stop_kind, stop_info = walker.leg(fwd, ttl, has_rr)
-    if stop_kind != _ARRIVE:
-        # The stop outcome first: a Time Exceeded appends its loss gate.
-        final = _stop_outcome(walker, stop_kind, stop_info)
-    elif host.silent_hops and (
-        ttl - sum(len(sp.decr) for sp in fwd) <= host.silent_hops
-    ):
-        final = walker.timeout(mx.dropped_ttl)
-    elif has_rr and host.drops_options:
-        final = walker.timeout(mx.dropped_host)
-    else:
-        # Host-arrival loss draw (``_deliver_to_host`` calls
-        # ``_lost()`` before the protocol dispatch, unresponsive hosts
-        # included).
-        ops.append([None, None, None, walker.timeout()])
-        final = (
-            None if host.ping_responsive
-            else walker.timeout(mx.dropped_host)
-        )
+    # A stop's outcome comes back after its gates (a Time Exceeded's
+    # loss gate included), so ``ops`` is frozen only once it is whole.
+    final = _leg(network, ops, load, rr, slots, fwd, ttl, has_rr, fwd_flaps)
+    if final is None:
+        arrived = tuple(load.items())
+        if host.silent_hops and (
+            ttl - len(fwd[0].decr) - len(fwd[1].decr) <= host.silent_hops
+        ):
+            final = Outcome(counters=(mx.sent, mx.dropped_ttl), load=arrived)
+        elif has_rr and host.drops_options:
+            final = Outcome(counters=(mx.sent, mx.dropped_host), load=arrived)
+        else:
+            # Host-arrival loss draw (``_deliver_to_host`` calls
+            # ``_lost()`` before the protocol dispatch, unresponsive
+            # hosts included).
+            ops.append([None, None, None, Outcome(
+                counters=(mx.sent,), load=arrived
+            )])
+            if not host.ping_responsive:
+                final = Outcome(
+                    counters=(mx.sent, mx.dropped_host), load=arrived
+                )
     if final is not None:
         # Stopped before the reply: with a placid forward leg, the
         # reverse leg's flaps cannot touch this flow.
@@ -669,36 +619,35 @@ def build_template(
     has_options = False
     if has_rr:
         reply_rr = host.stamp_reply(
-            RecordRouteOption(slots=slots, recorded=walker.rr)
+            RecordRouteOption(slots=slots, recorded=rr)
         )
         has_options = reply_rr is not None
-        walker.rr = reply_rr.recorded if has_options else []
+        rr = reply_rr.recorded if has_options else []
     rev = plan.reverse(network)
     if rev is None:
-        return Template(tuple(ops), walker.timeout(mx.dropped_no_route))
-    walker.flapset = crossed_flaps(flapset, rev)
-    stop_kind, stop_info = walker.leg(rev, 64, has_options)
-    if stop_kind != _ARRIVE:
-        final = _stop_outcome(walker, stop_kind, stop_info)
+        return Template(tuple(ops), Outcome(
+            counters=(mx.sent, mx.dropped_no_route), load=arrived
+        ))
+    final = _leg(
+        network, ops, load, rr, slots, rev, 64, has_options,
+        crossed_flaps(flapset, rev) if flapset else None,
+    )
+    if final is not None:
         return Template(tuple(ops), final)
     # Reverse-arrival loss draw, then delivery.
-    ops.append([None, None, None, walker.timeout()])
-    rr = tuple(walker.rr)
+    delivered = tuple(load.items())
+    ops.append([None, None, None, Outcome(
+        counters=(mx.sent,), load=delivered
+    )])
+    rr = tuple(rr)
     dest_addr = plan.dest.addr
-    slot: Optional[int] = None
-    for index, addr in enumerate(rr):
-        if addr == dest_addr:
-            slot = index + 1
-            break
-    seen = set()
+    slot = rr.index(dest_addr) + 1 if dest_addr in rr else None
+    # Other addresses of the destination's /24 (``same_slash24``), each
+    # once, in stamping order.
+    net24 = dest_addr >> 8
     inprefix: List[int] = []
     for addr in rr:
-        if (
-            addr != dest_addr
-            and addr not in seen
-            and same_slash24(addr, dest_addr)
-        ):
-            seen.add(addr)
+        if addr >> 8 == net24 and addr != dest_addr and addr not in inprefix:
             inprefix.append(addr)
     return Template(tuple(ops), Outcome(
         replied=True,
@@ -708,5 +657,5 @@ def build_template(
         dest_slot=slot,
         inprefix=tuple(inprefix),
         counters=(mx.sent, mx.delivered),
-        load=tuple(walker.load.items()),
+        load=delivered,
     ))

@@ -339,6 +339,95 @@ class TestWalkOracle:
         assert replayed == walked
 
 
+def _lengthen_reverse(world, vp, dest):
+    """Make the reply's trunk from ``dest`` to ``vp`` 64 copies long,
+    for the walk and the compiler alike (both read ``_trunk``), so the
+    reply's own TTL of 64 runs out on the way back."""
+    net = world.network
+    key = (dest.asn, vp.addr >> 16)
+    net._trunks.pop(key, None)  # idempotent: lengthen the routed trunk
+    net._trunks[key] = net._trunk(*key) * 64
+
+
+class TestTimeExceededGate:
+    """A Time Exceeded's error reply faces one loss draw, which the
+    template holds as its last op, behind the leg's rate gates. A
+    builder that froze ``ops`` before appending it would still return
+    the right outcome, and replay would silently skip that draw."""
+
+    @staticmethod
+    def _session(batching, dest, ttl, lengthen):
+        """One session of the first working VP probing ``dest`` on a
+        fresh ``tiny`` world: the walk-visible outcome fields, the
+        loss-stream state, and (replayed) the template the probe ran."""
+        world = get_preset("tiny", 2016)
+        world.prober.batching = batching
+        vp = world.working_vps[0]
+        if lengthen:
+            _lengthen_reverse(world, vp, dest)
+        net = world.network
+        net.begin_vp_session(vp.name)
+        try:
+            rows = world.prober.probe_batch_rows(vp, [dest], ttl=ttl)
+            state = net._loss_rng.getstate()
+        finally:
+            net.end_vp_session()
+        fields = [
+            tuple(getattr(outcome, name) for name in WALK_FIELDS)
+            for _dest, outcome in rows
+        ]
+        template = None
+        if batching:
+            plan = net._plans[(vp.addr >> 16, dest.addr)]
+            template = plan.template(net, KIND_RR, 9, ttl, None)
+        return fields, state, template, net._mx
+
+    @staticmethod
+    def _expiring_flow(ttl, lengthen):
+        """The first hitlist destination whose ping-RR from the first
+        working VP ends in a Time Exceeded at ``ttl``."""
+        world = get_preset("tiny", 2016)
+        vp = world.working_vps[0]
+        net = world.network
+        for dest in world.hitlist:
+            if dest.asn == vp.addr >> 16:
+                continue
+            if lengthen:
+                _lengthen_reverse(world, vp, dest)
+            plan, _hit = net.plan_for(vp.addr >> 16, dest)
+            template = plan.template(net, KIND_RR, 9, ttl, None)
+            if template.final.ttl_exceeded:
+                return dest
+        raise AssertionError("no flow ends in a Time Exceeded")
+
+    @pytest.mark.parametrize(
+        "ttl, lengthen", [(2, False), (64, True)], ids=["forward", "reverse"]
+    )
+    def test_error_reply_gate_is_last_and_replay_equals_walk(
+        self, ttl, lengthen
+    ):
+        dest = self._expiring_flow(ttl, lengthen)
+        replayed, state, template, mx = self._session(
+            True, dest, ttl, lengthen
+        )
+        walked, walked_state, _none, _mx = self._session(
+            False, dest, ttl, lengthen
+        )
+        assert template.final.ttl_exceeded
+        # A reverse expiry comes after the host-arrival draw, a forward
+        # one before the probe reaches the host.
+        arrivals = [
+            op for op in template.ops
+            if op[0] is None and op[3].counters == (mx.sent,)
+        ]
+        assert len(arrivals) == int(lengthen)
+        router, _pps, _limiter, fail = template.ops[-1]
+        assert router is None  # a loss gate, not a rate gate
+        assert fail.counters == (mx.sent, mx.ttl_exceeded_sent)
+        assert replayed == walked
+        assert state == walked_state
+
+
 class TestOptionsLoadParity:
     def test_per_asn_options_load_identical(self):
         """The per-batch load fold must reproduce the legacy walk's

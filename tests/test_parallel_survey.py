@@ -370,6 +370,44 @@ class TestStudyPlumbing:
             save_survey(serial.rr_survey, b)
             assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_pooled_study_is_one_round_on_one_pool(
+        self, jobs, monkeypatch, tmp_path
+    ):
+        """Both §3.1 surveys share one round: ``jobs`` workers, one
+        ``run_tasks``, and the in-process run's ping table, saved RR
+        survey, clock (bit for bit) and options load."""
+        calls = {}
+        spawn = WorkerWatchdog._spawn_worker
+        run_tasks = WorkerWatchdog.run_tasks
+
+        def spy_spawn(self):
+            calls["spawn"] += 1
+            return spawn(self)
+
+        def spy_round(self, *args, **kwargs):
+            calls["round"] += 1
+            return run_tasks(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerWatchdog, "_spawn_worker", spy_spawn)
+        monkeypatch.setattr(WorkerWatchdog, "run_tasks", spy_round)
+        left = {}
+        for n in (1, jobs):
+            calls.update(spawn=0, round=0)
+            scenario = get_preset("tiny", 2016)
+            data = run_full_study(scenario, jobs=n)
+            assert calls == {"spawn": 0 if n == 1 else n, "round": 1}, n
+            path = tmp_path / f"survey-{n}.json"
+            save_survey(data.rr_survey, path)
+            network = scenario.network
+            left[n] = (
+                data.ping_survey.responsive,
+                path.read_bytes(),
+                network.clock.now.hex(),
+                dict(network.options_load),
+            )
+        assert left[jobs] == left[1]
+
 
 def _pid_body(state, task, heartbeat):
     """A task body that only says which process ran it."""
