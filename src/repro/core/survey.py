@@ -43,8 +43,7 @@ from repro.net.addr import parse_prefix, same_slash24
 from repro.probing.artifacts import (
     SurveyFormatError,
     atomic_write_bytes,
-    canonical_json_bytes,
-    embed_checksum,
+    checksummed_json_bytes,
     verify_embedded_checksum,
 )
 from repro.obs.spans import TRACER
@@ -274,7 +273,7 @@ def save_survey(survey: RRSurvey, path: Union[str, Path]) -> None:
             sorted(addrs) for addrs in survey.inprefix_addrs
         ],
     }
-    data = canonical_json_bytes(embed_checksum(record))
+    data = checksummed_json_bytes(record)
     if _is_gzip_path(path):
         # mtime=0 keeps the compressed bytes deterministic, so the
         # parallel-vs-serial parity bar applies to .json.gz too.

@@ -54,9 +54,8 @@ from repro.obs.status import CampaignStatusWriter, sum_counter
 from repro.probing.artifacts import (
     append_text_line,
     atomic_write_bytes,
-    canonical_json_bytes,
+    checksummed_json_bytes,
     cut_checkpoint_tail,
-    embed_checksum,
     read_checkpoint,
     record_line,
     start_checkpoint,
@@ -816,5 +815,5 @@ class CampaignRunner:
             "records": quality["quarantined"],
             "degraded": quality["degraded"],
         }
-        atomic_write_bytes(path, canonical_json_bytes(embed_checksum(record)))
+        atomic_write_bytes(path, checksummed_json_bytes(record))
         return str(path)

@@ -24,7 +24,7 @@ ship their counts home through the usual snapshot merge.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.faults.specs import (
     FaultPlan,
@@ -39,7 +39,7 @@ from repro.faults.specs import (
 )
 from repro.net.options import RecordRouteOption
 from repro.obs.metrics import CounterFamily, MetricsRegistry
-from repro.rng import stable_rng, stable_u64
+from repro.rng import StablePrefix, stable_rng, stable_u64
 from repro.sim.stampplan import Outcome
 
 __all__ = ["FaultInjector", "fault_event_counter", "fault_drop_counter"]
@@ -64,6 +64,39 @@ def fault_drop_counter(registry: MetricsRegistry) -> CounterFamily:
         "Packets killed by an injected fault, by kind.",
         ("net", "kind"),
     )
+
+
+def _pick_flaps(
+    plan: FaultPlan, graph
+) -> Tuple[Tuple[LinkFlap, FrozenSet], ...]:
+    """Each LinkFlap spec with its flapped ``(a, b)`` adjacencies
+    (``a < b``), drawn deterministically from the graph's edges."""
+    flap_specs = [
+        (index, spec)
+        for index, spec in enumerate(plan.specs)
+        if isinstance(spec, LinkFlap)
+    ]
+    if not flap_specs:
+        return ()
+    edges = sorted((min(a, b), max(a, b)) for a, b, _rel in graph.edges())
+    if not edges:
+        return ()
+    return tuple(
+        (
+            spec,
+            frozenset(
+                stable_rng(plan.seed, "link-flap", index).sample(
+                    edges, min(spec.count, len(edges))
+                )
+            ),
+        )
+        for index, spec in flap_specs
+    )
+
+
+def _rr_reply(outcome: Outcome) -> bool:
+    """A reply carrying RR data: what stripping or truncating needs."""
+    return outcome.rr_responsive
 
 
 class _GilbertElliott:
@@ -150,20 +183,18 @@ class FaultInjector:
         # plan order is a priority order. Event counter children are
         # pre-resolved per kind present in the plan.
         self._misbehaviors = [
-            (index, spec, plan.spec_seed(index))
+            (spec, plan.spec_seed(index))
             for index, spec in plan.misbehavior_specs()
         ]
         self._ev_misbehavior = {
             spec.KIND: events.labels(net_id, spec.KIND)
-            for _index, spec, _seed in self._misbehaviors
+            for spec, _seed in self._misbehaviors
         }
         #: Campaign attempt this injector serves (set by
         #: ``run_vp_attempt``). Folded into the non-sticky hit-draw
         #: salt so distinct attempts re-roll independently of the
         #: intra-attempt validation-retry rounds.
         self.attempt: int = 1
-        #: Canned zombie replies, keyed ``(spec index, vp, slots)``.
-        self._zombie_cache: Dict[Tuple[int, str, int], Outcome] = {}
 
         # Per-session state.
         self.session_name: Optional[str] = None
@@ -173,25 +204,17 @@ class FaultInjector:
     # -- compilation ---------------------------------------------------------
 
     def _compile_flaps(self) -> None:
-        """Pick the flapped adjacencies deterministically from the graph."""
-        flap_specs = [
-            (index, spec)
-            for index, spec in enumerate(self.plan.specs)
-            if isinstance(spec, LinkFlap)
-        ]
-        if not flap_specs:
-            return
-        edges = sorted(
-            (min(a, b), max(a, b))
-            for a, b, _rel in self.network.graph.edges()
-        )
-        if not edges:
-            return
-        for index, spec in flap_specs:
-            rng = stable_rng(self.plan.seed, "link-flap", index)
-            chosen = frozenset(
-                rng.sample(edges, min(spec.count, len(edges)))
-            )
+        """Place each LinkFlap spec's window on this session horizon.
+
+        The flapped adjacencies themselves depend only on the plan and
+        the graph, so the network keeps them per plan: every attempt
+        of a campaign in one process shares one pick.
+        """
+        picks = self.network._flap_picks.get(self.plan)
+        if picks is None:
+            picks = _pick_flaps(self.plan, self.network.graph)
+            self.network._flap_picks[self.plan] = picks
+        for spec, chosen in picks:
             t0 = spec.start * self.horizon
             t1 = t0 + spec.duration * self.horizon
             self._flap_windows.append((t0, t1, chosen))
@@ -305,7 +328,14 @@ class FaultInjector:
         addr, attempt/round)``, so the taint is byte-identical across
         jobs counts, batched-vs-legacy, and kill→resume.
 
-        The first matching spec in plan order wins per pair.
+        Per pair, the specs are tried in plan order and the first one
+        that selects the pair wins. A spec selects a pair when its
+        draw-free precondition holds (what its transform needs of the
+        outcome; only a zombie's holds for a probe nobody answered),
+        then its hit draw, then its window. All three are pure, so
+        testing the precondition first changes which hashes run, never
+        which spec wins.
+
         Transformed outcomes are fresh :class:`Outcome` instances that
         copy ``counters``/``load`` from the original (templates are
         shared objects; accounting already happened).
@@ -315,66 +345,88 @@ class FaultInjector:
         # Distinct campaign attempts must re-roll non-sticky draws
         # independently of intra-attempt validation-retry rounds.
         salt_round = (self.attempt - 1) * 1024 + round_no
-        # One selector per spec per batch: the VP- and round-level
-        # parts of every draw are hashed here, not once per reply.
-        selectors = []
-        for index, spec, seed in self._misbehaviors:
+        # One selector and one transform per spec per batch: the VP-
+        # and round-level parts of every draw are hashed here, not
+        # once per reply.
+        live = []
+        for spec, seed in self._misbehaviors:
             select = spec.selector(seed, vp_name, salt_round)
             if select is not None:
-                selectors.append((index, spec, seed, select))
-        if not selectors:
+                can_taint, taint = self._taint(spec, seed, vp_name, slots)
+                live.append((can_taint, select, taint, spec.KIND))
+        if not live:
             return pairs
+        tainted: Dict[str, int] = {}
         out = []
         for dest, outcome in pairs:
-            addr = dest.addr
-            for index, spec, seed, select in selectors:
-                if not select(addr):
-                    continue
-                tainted = self._taint(
-                    index, spec, seed, vp_name, dest, outcome, slots
-                )
-                if tainted is None:
-                    continue  # precondition unmet — next spec may apply
-                outcome = tainted
-                self._ev_misbehavior[spec.KIND].inc()
-                break
+            for can_taint, select, taint, kind in live:
+                if can_taint(outcome) and select(dest.addr):
+                    outcome = taint(dest, outcome)
+                    tainted[kind] = tainted.get(kind, 0) + 1
+                    break
             out.append((dest, outcome))
+        for kind, count in tainted.items():
+            self._ev_misbehavior[kind].inc(count)
         return out
 
+    @staticmethod
     def _taint(
-        self, index: int, spec, seed: int, vp_name: str, dest,
-        outcome: Outcome, slots: int,
-    ) -> Optional[Outcome]:
-        """Apply the ``index``-th plan spec's transform; None =
-        precondition unmet."""
+        spec, seed: int, vp_name: str, slots: int,
+    ) -> Tuple[
+        Callable[[Outcome], bool], Callable[[object, Outcome], Outcome]
+    ]:
+        """``spec``'s ``(can_taint, taint)`` for one batch of
+        ``vp_name``'s replies: ``can_taint(outcome)``, draw-free, says
+        whether ``taint(dest, outcome)`` applies to it at all. The
+        transform's per-reply draws hash under prefixes resolved here,
+        once per batch."""
         if isinstance(spec, ZombieVp):
             # Zombie VPs answer *unconditionally* — even destinations
-            # that never replied get the canned stale measurement.
-            return self._zombie_outcome(index, seed, vp_name, outcome, slots)
-        if isinstance(spec, StampCorruption):
-            if not outcome.rr_responsive or outcome.dest_slot is None:
-                return None
-            rr = []
-            for i in range(len(outcome.rr)):
-                addr = stable_u64(seed, "addr", vp_name, dest.addr, i)
-                addr &= 0xFFFFFFFF
-                if addr == dest.addr:
-                    addr ^= 1
-                rr.append(addr)
-            return Outcome(
-                replied=outcome.replied,
+            # that never replied get the canned stale measurement: its
+            # garbage RR with ``dest_slot=1``, so it is at once a
+            # duplicate and a stamp mismatch.
+            canned = tuple(
+                stable_u64(seed, "zombie-rr", vp_name, i) & 0xFFFFFFFF
+                for i in range(min(slots, 4))
+            )
+            return (lambda outcome: True), lambda dest, outcome: Outcome(
+                replied=True,
                 responded=True,
                 reply_has_rr=True,
-                rr=tuple(rr),
-                dest_slot=outcome.dest_slot,
+                rr=canned,
+                dest_slot=1,
                 inprefix=(),
                 counters=outcome.counters,
                 load=outcome.load,
             )
+        if isinstance(spec, StampCorruption):
+            garbage = StablePrefix(seed, "addr", vp_name).u64
+
+            def corrupt(dest, outcome: Outcome) -> Outcome:
+                rr = []
+                for i in range(len(outcome.rr)):
+                    addr = garbage(dest.addr, i) & 0xFFFFFFFF
+                    if addr == dest.addr:
+                        addr ^= 1
+                    rr.append(addr)
+                return Outcome(
+                    replied=outcome.replied,
+                    responded=True,
+                    reply_has_rr=True,
+                    rr=tuple(rr),
+                    dest_slot=outcome.dest_slot,
+                    inprefix=(),
+                    counters=outcome.counters,
+                    load=outcome.load,
+                )
+
+            # An RR reply carrying the destination's own stamp.
+            return (
+                lambda outcome: outcome.rr_responsive
+                and outcome.dest_slot is not None
+            ), corrupt
         if isinstance(spec, OptionStrip):
-            if not outcome.rr_responsive:
-                return None
-            return Outcome(
+            return _rr_reply, lambda dest, outcome: Outcome(
                 replied=outcome.replied,
                 responded=True,
                 reply_has_rr=False,
@@ -382,87 +434,56 @@ class FaultInjector:
                 load=outcome.load,
             )
         if isinstance(spec, TruncatedOption):
-            if not outcome.rr_responsive:
-                return None
-            wire = bytearray(
-                RecordRouteOption(
-                    slots=slots, recorded=list(outcome.rr)
-                ).to_bytes()
-            )
-            mode = stable_u64(seed, "mangle", vp_name, dest.addr) % 3
-            if mode == 0:
-                wire = wire[:2]  # shorter than the 3-byte header
-            elif mode == 1:
-                wire[1] ^= 0x5A  # length byte != actual option size
-            else:
-                wire[2] = 2  # pointer below the first slot
-            return Outcome(
-                replied=outcome.replied,
-                responded=True,
-                reply_has_rr=True,
-                rr=outcome.rr,
-                dest_slot=outcome.dest_slot,
-                inprefix=(),
-                counters=outcome.counters,
-                load=outcome.load,
-                wire=bytes(wire),
-            )
+            mangle = StablePrefix(seed, "mangle", vp_name).u64
+
+            def truncate(dest, outcome: Outcome) -> Outcome:
+                wire = bytearray(
+                    RecordRouteOption(
+                        slots=slots, recorded=list(outcome.rr)
+                    ).to_bytes()
+                )
+                mode = mangle(dest.addr) % 3
+                if mode == 0:
+                    wire = wire[:2]  # shorter than the 3-byte header
+                elif mode == 1:
+                    wire[1] ^= 0x5A  # length byte != actual option size
+                else:
+                    wire[2] = 2  # pointer below the first slot
+                return Outcome(
+                    replied=outcome.replied,
+                    responded=True,
+                    reply_has_rr=True,
+                    rr=outcome.rr,
+                    dest_slot=outcome.dest_slot,
+                    inprefix=(),
+                    counters=outcome.counters,
+                    load=outcome.load,
+                    wire=bytes(wire),
+                )
+
+            return _rr_reply, truncate
         if isinstance(spec, SpoofedReply):
-            if not outcome.responded:
-                return None
-            src = stable_u64(seed, "src", vp_name, dest.addr) & 0xFFFFFFFF
-            if src == dest.addr:
-                src ^= 1
-            return Outcome(
-                replied=outcome.replied,
-                responded=True,
-                reply_has_rr=outcome.reply_has_rr,
-                rr=outcome.rr,
-                dest_slot=outcome.dest_slot,
-                inprefix=(),
-                counters=outcome.counters,
-                load=outcome.load,
-                reply_src=src,
-            )
-        return None
+            source = StablePrefix(seed, "src", vp_name).u64
 
-    def _zombie_outcome(
-        self, index: int, seed: int, vp_name: str, outcome: Outcome,
-        slots: int,
-    ) -> Outcome:
-        """The canned stale reply a zombie VP returns for everything.
+            def spoof(dest, outcome: Outcome) -> Outcome:
+                src = source(dest.addr) & 0xFFFFFFFF
+                if src == dest.addr:
+                    src ^= 1
+                return Outcome(
+                    replied=outcome.replied,
+                    responded=True,
+                    reply_has_rr=outcome.reply_has_rr,
+                    rr=outcome.rr,
+                    dest_slot=outcome.dest_slot,
+                    inprefix=(),
+                    counters=outcome.counters,
+                    load=outcome.load,
+                    reply_src=src,
+                )
 
-        The cached template carries the garbage RR with ``dest_slot=0``
-        (so it is simultaneously a duplicate *and* a stamp mismatch);
-        per-pair instances copy the original outcome's accounting.
-        ``index`` is the zombie spec's position in the plan.
-        """
-        key = (index, vp_name, slots)
-        canned = self._zombie_cache.get(key)
-        if canned is None:
-            rr = tuple(
-                stable_u64(seed, "zombie-rr", vp_name, i) & 0xFFFFFFFF
-                for i in range(min(slots, 4))
-            )
-            canned = Outcome(
-                replied=True,
-                responded=True,
-                reply_has_rr=True,
-                rr=rr,
-                dest_slot=1,
-                inprefix=(),
-            )
-            self._zombie_cache[key] = canned
-        return Outcome(
-            replied=True,
-            responded=True,
-            reply_has_rr=True,
-            rr=canned.rr,
-            dest_slot=1,
-            inprefix=(),
-            counters=outcome.counters,
-            load=outcome.load,
-        )
+            # Any answered probe, RR or not.
+            return (lambda outcome: outcome.responded), spoof
+        raise TypeError(f"not a misbehavior spec: {spec!r}")
 
     def __repr__(self) -> str:
         return (

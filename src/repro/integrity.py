@@ -9,7 +9,8 @@ them too:
   write-rename helper;
 * :func:`embed_checksum` / :func:`split_checksum` /
   :func:`checksum_of` — an embedded sha256 over a record's canonical
-  JSON bytes (:func:`canonical_json_bytes`).
+  JSON bytes (:func:`canonical_json_bytes`);
+  :func:`checksummed_json_bytes` writes such a record in one pass.
 
 :mod:`repro.probing.artifacts` builds verification counters, the
 line-log codec and checkpoints on top, and re-exports these names.
@@ -29,6 +30,7 @@ __all__ = [
     "atomic_write_text",
     "canonical_json_bytes",
     "checksum_of",
+    "checksummed_json_bytes",
     "embed_checksum",
     "split_checksum",
 ]
@@ -105,6 +107,32 @@ def embed_checksum(record: Dict) -> Dict:
     out = dict(body)
     out[CHECKSUM_KEY] = checksum_of(body)
     return out
+
+
+def checksummed_json_bytes(record: Dict) -> bytes:
+    """``canonical_json_bytes(embed_checksum(record))``, serialised once.
+
+    The body's keys that sort before :data:`CHECKSUM_KEY` and those
+    that sort after it are encoded as two canonical halves. Joined,
+    they are the body's canonical bytes, which the digest covers; the
+    ``"sha256":"<hex>"`` member is then spliced between them, where a
+    sorted encoding of the whole record puts it. A stale digest in
+    ``record`` is dropped, as :func:`embed_checksum` drops it.
+    """
+    head: Dict = {}
+    tail: Dict = {}
+    for key, value in record.items():
+        if key < CHECKSUM_KEY:
+            head[key] = value
+        elif key > CHECKSUM_KEY:
+            tail[key] = value
+    members = [
+        canonical_json_bytes(half)[1:-1] for half in (head, tail) if half
+    ]
+    digest = hashlib.sha256(b"{" + b",".join(members) + b"}").hexdigest()
+    member = f'"{CHECKSUM_KEY}":"{digest}"'.encode("utf-8")
+    members.insert(1 if head else 0, member)
+    return b"{" + b",".join(members) + b"}"
 
 
 def split_checksum(record: Dict) -> Tuple[Dict, Optional[str]]:

@@ -16,7 +16,8 @@ and are re-exported here):
 * :func:`embed_checksum` / :func:`split_checksum` /
   :func:`checksum_of` — an embedded sha256 over the *canonical* JSON
   bytes of the record (sorted keys, compact separators, checksum field
-  excluded). Writers embed it; loaders recompute and compare, so
+  excluded). Writers embed it (:func:`checksummed_json_bytes`
+  serialises the record once); loaders recompute and compare, so
   corruption that still parses as JSON (a truncated-then-padded copy,
   a flipped digit) is caught before it poisons an analysis. Artifacts
   written before checksums existed simply lack the field and still
@@ -50,6 +51,7 @@ from repro.integrity import (
     atomic_write_text,
     canonical_json_bytes,
     checksum_of,
+    checksummed_json_bytes,
     embed_checksum,
     split_checksum,
 )
@@ -63,6 +65,7 @@ __all__ = [
     "atomic_write_text",
     "canonical_json_bytes",
     "checksum_of",
+    "checksummed_json_bytes",
     "cut_checkpoint_tail",
     "embed_checksum",
     "read_checkpoint",
@@ -155,7 +158,7 @@ def verify_embedded_checksum(
 def record_line(record: Dict) -> str:
     """``record`` as one log line (newline excluded): its canonical
     JSON with the embedded sha256."""
-    return canonical_json_bytes(embed_checksum(record)).decode("utf-8")
+    return checksummed_json_bytes(record).decode("utf-8")
 
 
 def append_text_line(

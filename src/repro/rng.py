@@ -63,7 +63,15 @@ class StablePrefix:
 
     def u64(self, *parts: object) -> int:
         hasher = self._hasher.copy()
-        _feed(hasher, parts)
+        for part in parts:
+            if type(part) is not int:
+                _feed(hasher, parts)
+                break
+        else:
+            # An exact int formats under %d as its repr, so all-int
+            # parts go in one update. A bool or an int subclass may
+            # not (repr(True) is 'True'): those take _feed.
+            hasher.update(b"%d\x1f" * len(parts) % parts)
         return int.from_bytes(hasher.digest(), "big")
 
     def uniform(self, *parts: object) -> float:

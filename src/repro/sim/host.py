@@ -78,17 +78,33 @@ class SimHost:
         reverse path keeps stamping into), or None when the host strips
         options from its replies.
         """
-        if self.rr_mode is HostRRMode.STRIP:
+        recorded = list(rr.recorded)
+        if not self.stamp_reply_rr(recorded, rr.slots):
             return None
-        reply_rr = rr.copy()
-        if self.rr_mode is HostRRMode.STAMP:
-            reply_rr.stamp(self.addr)
-        elif self.rr_mode is HostRRMode.ALIAS:
-            reply_rr.stamp(
-                self.alias_addr if self.alias_addr is not None else self.addr
-            )
-        # NO_STAMP: copy untouched.
-        return reply_rr
+        return RecordRouteOption(rr.slots, recorded)
+
+    def stamp_reply_rr(self, recorded: List[int], slots: int) -> bool:
+        """This host's RR handling, applied in place to the addresses
+        an arriving ``slots``-slot option recorded: the one decision
+        the walk (:meth:`stamp_reply`) and the plan compiler share.
+
+        False means the host strips options from its replies. Else the
+        list is the reply's: the probed address (or, for an ALIAS
+        host, its other interface) is appended if a slot is free, and
+        a NO_STAMP host leaves it untouched.
+        """
+        mode = self.rr_mode
+        if mode is HostRRMode.STRIP:
+            return False
+        if len(recorded) < slots:
+            if mode is HostRRMode.STAMP:
+                recorded.append(self.addr)
+            elif mode is HostRRMode.ALIAS:
+                recorded.append(
+                    self.alias_addr if self.alias_addr is not None
+                    else self.addr
+                )
+        return True
 
     def stamp_timestamp(
         self, ts: TimestampOption, now_ms: int

@@ -48,7 +48,12 @@ from repro.sim.clock import SimClock
 from repro.sim.host import SimHost, build_host
 from repro.sim.policies import RouterPolicy, SimParams, build_router_policy
 from repro.sim.rate_limiter import BucketMetrics, TokenBucket
-from repro.sim.stampplan import RoundTripPlan, SegmentPlan, compile_segment
+from repro.sim.stampplan import (
+    OutcomeCounters,
+    RoundTripPlan,
+    SegmentPlan,
+    compile_segment,
+)
 from repro.topology.generator import GeneratedTopology
 from repro.topology.hitlist import Destination, Hitlist
 from repro.topology.routers import Hop, RouterFabric, RouterNode
@@ -216,12 +221,16 @@ class Network:
         self.net_id = str(next(_NET_IDS))
         self.registry = REGISTRY
         self._mx = _NetMetrics(self.registry, self.net_id)
+        self._outcome_counters = OutcomeCounters(self._mx)
         self.stats = NetworkStats(self._mx.as_children())
         #: Opt-in per-hop tracer; ``None`` keeps the walk allocation-free.
         self._tracer: Optional[PacketTracer] = None
         #: Opt-in fault injector (``repro.faults``); ``None`` keeps the
         #: dataplane fault-agnostic at the cost of one check per walk.
         self._injector = None
+        #: Injectors' flapped-adjacency picks, per fault plan: they
+        #: read the graph, so they go with the route caches.
+        self._flap_picks: Dict = {}
         #: Current token-bucket refill scale (RateLimitStorm hook);
         #: installed on every live limiter and on new ones at creation.
         self._rate_scale = None
@@ -551,6 +560,7 @@ class Network:
         self._drop_plans()
         self._seg_plans.clear()
         self._access_tails.clear()
+        self._flap_picks.clear()
 
     def invalidate_routes(self) -> None:
         """Explicitly invalidate every route-derived cache.

@@ -69,13 +69,13 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from repro.net.options import RecordRouteOption
 from repro.topology.routers import Hop, RouterNode
 
 __all__ = [
     "KIND_RR",
     "KIND_PING",
     "Outcome",
+    "OutcomeCounters",
     "RoundTripPlan",
     "SegmentPlan",
     "Template",
@@ -170,6 +170,32 @@ class Outcome:
         self.load = load
         self.reply_src = reply_src
         self.wire = wire
+
+
+class OutcomeCounters:
+    """The counter tuples compiled outcomes carry, one per fate.
+
+    A network has about ten distinct ``Outcome.counters`` tuples; it
+    builds them once (``Network._outcome_counters``) so every outcome
+    shares one instead of allocating its own. A flap drop's tuple
+    names the injector's own counter, so it is built per outcome.
+    """
+
+    __slots__ = (
+        "sent", "delivered", "no_route", "filtered", "rate_limited",
+        "ttl", "host", "ttl_exceeded",
+    )
+
+    def __init__(self, mx) -> None:
+        sent = mx.sent
+        self.sent = (sent,)
+        self.delivered = (sent, mx.delivered)
+        self.no_route = (sent, mx.dropped_no_route)
+        self.filtered = (sent, mx.dropped_filtered)
+        self.rate_limited = (sent, mx.dropped_rate_limited)
+        self.ttl = (sent, mx.dropped_ttl)
+        self.host = (sent, mx.dropped_host)
+        self.ttl_exceeded = (sent, mx.ttl_exceeded_sent)
 
 
 class Template:
@@ -484,7 +510,7 @@ def _leg(
         if index is not None:
             stop = min(stop, index * 4 + _FILTER)
     hop, cause = divmod(stop, 4)
-    mx = network._mx
+    counters = network._outcome_counters
     if has_options:
         for sp, upto in ((first, min(hop, n1)), (second, hop - n1)):
             if upto <= 0:
@@ -501,8 +527,7 @@ def _leg(
                         at_gate[asn] = at_gate.get(asn, 0) + count
                     prefix = tuple(at_gate.items())
                 ops.append([router, pps, None, Outcome(
-                    counters=(mx.sent, mx.dropped_rate_limited),
-                    load=prefix,
+                    counters=counters.rate_limited, load=prefix,
                 )])
             if load:
                 for asn, count in seg_load:
@@ -519,25 +544,29 @@ def _leg(
         return None
     at_stop = tuple(load.items())
     if cause == _FLAP:
-        counters = (mx.sent, mx.dropped_fault, network._injector.drops_flap)
-        return Outcome(counters=counters, load=at_stop)
+        mx = network._mx
+        return Outcome(
+            counters=(mx.sent, mx.dropped_fault, network._injector.drops_flap),
+            load=at_stop,
+        )
     if cause == _FILTER:
-        return Outcome(counters=(mx.sent, mx.dropped_filtered), load=at_stop)
+        return Outcome(counters=counters.filtered, load=at_stop)
     if not sends:
-        return Outcome(counters=(mx.sent, mx.dropped_ttl), load=at_stop)
+        return Outcome(counters=counters.ttl, load=at_stop)
     # Time Exceeded quoting the offending header: the quote includes
     # the full IP header (options and all), so the quoted RR is the
     # stamps accumulated strictly before the expiry hop — on the
     # reverse leg, the reply's Record Route so far. The error reply
     # itself faces one loss draw.
-    counters = (mx.sent, mx.ttl_exceeded_sent)
-    ops.append([None, None, None, Outcome(counters=counters, load=at_stop)])
+    ops.append([None, None, None, Outcome(
+        counters=counters.ttl_exceeded, load=at_stop
+    )])
     return Outcome(
         replied=True,
         ttl_exceeded=True,
         error_source=icmp_addr,
         quoted=tuple(rr),
-        counters=counters,
+        counters=counters.ttl_exceeded,
         load=at_stop,
     )
 
@@ -580,9 +609,9 @@ def build_template(
             rev = plan.rev
             if rev is _UNRESOLVED or crossed_flaps(flapset, rev) is None:
                 return placid
-    mx = network._mx
+    counters = network._outcome_counters
     if fwd is None:
-        return Template((), Outcome(counters=(mx.sent, mx.dropped_no_route)))
+        return Template((), Outcome(counters=counters.no_route))
     ops: List[list] = []
     load: Dict[int, int] = {}
     rr: List[int] = []
@@ -596,37 +625,31 @@ def build_template(
         if host.silent_hops and (
             ttl - len(fwd[0].decr) - len(fwd[1].decr) <= host.silent_hops
         ):
-            final = Outcome(counters=(mx.sent, mx.dropped_ttl), load=arrived)
+            final = Outcome(counters=counters.ttl, load=arrived)
         elif has_rr and host.drops_options:
-            final = Outcome(counters=(mx.sent, mx.dropped_host), load=arrived)
+            final = Outcome(counters=counters.host, load=arrived)
         else:
             # Host-arrival loss draw (``_deliver_to_host`` calls
             # ``_lost()`` before the protocol dispatch, unresponsive
             # hosts included).
             ops.append([None, None, None, Outcome(
-                counters=(mx.sent,), load=arrived
+                counters=counters.sent, load=arrived
             )])
             if not host.ping_responsive:
-                final = Outcome(
-                    counters=(mx.sent, mx.dropped_host), load=arrived
-                )
+                final = Outcome(counters=counters.host, load=arrived)
     if final is not None:
         # Stopped before the reply: with a placid forward leg, the
         # reverse leg's flaps cannot touch this flow.
         return placid or Template(tuple(ops), final)
 
     # -- the Echo Reply -----------------------------------------------------
-    has_options = False
-    if has_rr:
-        reply_rr = host.stamp_reply(
-            RecordRouteOption(slots=slots, recorded=rr)
-        )
-        has_options = reply_rr is not None
-        rr = reply_rr.recorded if has_options else []
+    has_options = has_rr and host.stamp_reply_rr(rr, slots)
+    if not has_options:
+        rr = []
     rev = plan.reverse(network)
     if rev is None:
         return Template(tuple(ops), Outcome(
-            counters=(mx.sent, mx.dropped_no_route), load=arrived
+            counters=counters.no_route, load=arrived
         ))
     final = _leg(
         network, ops, load, rr, slots, rev, 64, has_options,
@@ -637,7 +660,7 @@ def build_template(
     # Reverse-arrival loss draw, then delivery.
     delivered = tuple(load.items())
     ops.append([None, None, None, Outcome(
-        counters=(mx.sent,), load=delivered
+        counters=counters.sent, load=delivered
     )])
     rr = tuple(rr)
     dest_addr = plan.dest.addr
@@ -656,6 +679,6 @@ def build_template(
         rr=rr,
         dest_slot=slot,
         inprefix=tuple(inprefix),
-        counters=(mx.sent, mx.delivered),
+        counters=counters.delivered,
         load=delivered,
     ))

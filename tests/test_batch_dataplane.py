@@ -29,6 +29,7 @@ from repro.sim.stampplan import (
     _UNRESOLVED,
     KIND_PING,
     KIND_RR,
+    OutcomeCounters,
     SegmentPlan,
     crossed_flaps,
 )
@@ -619,6 +620,31 @@ class TestLazyReverseLeg:
                 replied += 1
                 assert isinstance(plan.rev, tuple), dest
         assert filtered and replied, (filtered, replied)
+
+
+class TestInternedCounters:
+    def test_outcomes_share_the_networks_counter_tuples(self):
+        """Every outcome of a placid RR or ping template carries one of
+        the network's counter tuples, that very object, so the tuples
+        are built once per network, not once per outcome."""
+        world = get_preset("tiny", 2016)
+        vp = world.working_vps[0]
+        dests = list(world.hitlist)
+        world.prober.probe_batch_rows(vp, dests)
+        world.prober.probe_batch_ping(vp, dests)
+        interned = world.network._outcome_counters
+        shared = {
+            id(getattr(interned, name)) for name in OutcomeCounters.__slots__
+        }
+        seen = set()
+        for plan in world.network._plans.values():
+            for template in plan._templates.values():
+                for outcome in [op[3] for op in template.ops] + [
+                    template.final
+                ]:
+                    assert id(outcome.counters) in shared, outcome.counters
+                    seen.add(id(outcome.counters))
+        assert len(seen) >= 5, len(seen)
 
 
 # ---------------------------------------------------------------------------

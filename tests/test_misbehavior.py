@@ -12,12 +12,17 @@ The acceptance bar pinned here:
 * a destination whose RR replies stay invalid past the retry budget
   degrades to plain ping, with the reason recorded in the manifest;
 * the clean path produces byte-identical output with validation on or
-  off (the validator is invisible in an honest world).
+  off (the validator is invisible in an honest world);
+* the transform, which tests each spec's precondition before drawing,
+  taints exactly what the draw-first reference taints.
 """
 
 from __future__ import annotations
 
+import gzip
+import hashlib
 import json
+from enum import IntEnum
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.survey import run_rr_survey, save_survey
 from repro.faults.campaign import CampaignInterrupted, CampaignRunner
+from repro.faults.injector import FaultInjector, fault_event_counter
 from repro.faults.specs import (
     FaultPlan,
     MISBEHAVIOR_KINDS,
@@ -193,11 +199,36 @@ def _misbehavior_specs(draw):
 
 
 class TestPerBatchSelectors:
-    @given(st.lists(_PARTS, max_size=5), st.lists(_PARTS, max_size=5))
+    @given(
+        st.lists(_PARTS, max_size=5),
+        # All-int parts take ``u64``'s one-update path.
+        st.one_of(
+            st.lists(_PARTS, max_size=5),
+            st.lists(st.integers(), max_size=5),
+        ),
+    )
     def test_prefix_hasher_equals_stable_u64(self, prefix, rest):
         hasher = StablePrefix(*prefix)
         assert hasher.u64(*rest) == stable_u64(*prefix, *rest)
         assert hasher.uniform(*rest) == stable_uniform(*prefix, *rest)
+
+    def test_bool_and_int_subclass_take_the_repr_path(self):
+        """``%d`` would format ``True`` and an ``int`` subclass as the
+        plain int; ``repr`` does not, so they must not take it."""
+
+        class Port(int):
+            def __repr__(self):
+                return f"Port({int(self)})"
+
+        class Color(IntEnum):
+            RED = 1
+
+        prefix = (7, "hit", "mlab-lax")
+        hasher = StablePrefix(*prefix)
+        for part in (True, False, Port(5), Color.RED):
+            assert hasher.u64(part, 3) == stable_u64(*prefix, part, 3)
+            assert hasher.u64(3, part) == stable_u64(*prefix, 3, part)
+            assert hasher.u64(part, 3) != hasher.u64(int(part), 3)
 
     @settings(max_examples=200)
     @given(
@@ -255,6 +286,263 @@ class TestPerBatchSelectors:
                     assert got == expected, (vp_name, round_no, dest)
                     outcomes.add(got)
         assert outcomes == {True, False}
+
+
+# -- the transform against its draw-first reference ------------------------
+
+
+def _reference_taint(spec, seed, vp_name, dest, outcome, slots):
+    """One spec's transform as it was when selection drew first and the
+    precondition sat inside the transform: ``None`` = precondition
+    unmet, so a later spec may still apply. Every draw hashes its full
+    key."""
+    if isinstance(spec, ZombieVp):
+        rr = tuple(
+            stable_u64(seed, "zombie-rr", vp_name, i) & 0xFFFFFFFF
+            for i in range(min(slots, 4))
+        )
+        return Outcome(
+            replied=True, responded=True, reply_has_rr=True, rr=rr,
+            dest_slot=1, inprefix=(), counters=outcome.counters,
+            load=outcome.load,
+        )
+    if isinstance(spec, StampCorruption):
+        if not outcome.rr_responsive or outcome.dest_slot is None:
+            return None
+        rr = []
+        for i in range(len(outcome.rr)):
+            addr = stable_u64(seed, "addr", vp_name, dest.addr, i)
+            addr &= 0xFFFFFFFF
+            if addr == dest.addr:
+                addr ^= 1
+            rr.append(addr)
+        return Outcome(
+            replied=outcome.replied, responded=True, reply_has_rr=True,
+            rr=tuple(rr), dest_slot=outcome.dest_slot, inprefix=(),
+            counters=outcome.counters, load=outcome.load,
+        )
+    if isinstance(spec, OptionStrip):
+        if not outcome.rr_responsive:
+            return None
+        return Outcome(
+            replied=outcome.replied, responded=True, reply_has_rr=False,
+            counters=outcome.counters, load=outcome.load,
+        )
+    if isinstance(spec, TruncatedOption):
+        if not outcome.rr_responsive:
+            return None
+        wire = bytearray(
+            RecordRouteOption(slots=slots, recorded=list(outcome.rr))
+            .to_bytes()
+        )
+        mode = stable_u64(seed, "mangle", vp_name, dest.addr) % 3
+        if mode == 0:
+            wire = wire[:2]
+        elif mode == 1:
+            wire[1] ^= 0x5A
+        else:
+            wire[2] = 2
+        return Outcome(
+            replied=outcome.replied, responded=True, reply_has_rr=True,
+            rr=outcome.rr, dest_slot=outcome.dest_slot, inprefix=(),
+            counters=outcome.counters, load=outcome.load,
+            wire=bytes(wire),
+        )
+    assert isinstance(spec, SpoofedReply)
+    if not outcome.responded:
+        return None
+    src = stable_u64(seed, "src", vp_name, dest.addr) & 0xFFFFFFFF
+    if src == dest.addr:
+        src ^= 1
+    return Outcome(
+        replied=outcome.replied, responded=True,
+        reply_has_rr=outcome.reply_has_rr, rr=outcome.rr,
+        dest_slot=outcome.dest_slot, inprefix=(),
+        counters=outcome.counters, load=outcome.load, reply_src=src,
+    )
+
+
+def _reference_misbehave(plan, attempt, vp_name, pairs, slots, round_no):
+    """``misbehave_pairs`` drawing first: per pair, the first spec in
+    plan order whose selection draws hit *and* whose transform accepts
+    the outcome wins. Returns the pairs and the taints per kind."""
+    salt_round = (attempt - 1) * 1024 + round_no
+    tainted = {}
+    out = []
+    for dest, outcome in pairs:
+        for index, spec in plan.misbehavior_specs():
+            seed = plan.spec_seed(index)
+            if not _reference_applies_to(
+                spec, seed, vp_name, dest.addr, salt_round
+            ):
+                continue
+            result = _reference_taint(
+                spec, seed, vp_name, dest, outcome, slots
+            )
+            if result is None:
+                continue
+            outcome = result
+            tainted[spec.KIND] = tainted.get(spec.KIND, 0) + 1
+            break
+        out.append((dest, outcome))
+    return out, tainted
+
+
+def _fields(outcome):
+    return tuple(getattr(outcome, name) for name in Outcome.__slots__)
+
+
+#: Outcome shapes the transform sees: never answered (a loss or a
+#: filter drop), a Time Exceeded, an answer without RR data, and an RR
+#: answer with and without the destination's own stamp.
+_SHAPES = ("silent", "ttl_exceeded", "no_rr", "rr", "rr_no_slot")
+
+
+def _outcome(shape, addr, rr=(), slot=1, counters=(), load=()):
+    """A ``shape`` outcome for a probe to ``addr``; ``rr`` holds the
+    stamps before the destination's own (placed at ``slot``)."""
+    if shape == "silent":
+        return Outcome(counters=counters, load=load)
+    if shape == "ttl_exceeded":
+        return Outcome(
+            replied=True, ttl_exceeded=True, error_source=addr ^ 0xFF,
+            quoted=tuple(rr), counters=counters, load=load,
+        )
+    if shape == "no_rr":
+        return Outcome(
+            replied=True, responded=True, counters=counters, load=load,
+        )
+    rr = [stamp for stamp in rr if stamp != addr]
+    dest_slot = None
+    if shape == "rr":
+        dest_slot = min(slot, len(rr) + 1)
+        rr.insert(dest_slot - 1, addr)
+    return Outcome(
+        replied=True, responded=True, reply_has_rr=True, rr=tuple(rr),
+        dest_slot=dest_slot, counters=counters, load=load,
+    )
+
+
+@st.composite
+def _transform_inputs(draw):
+    slots = draw(st.integers(min_value=1, max_value=9))
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        addr = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        stamps = draw(st.lists(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            max_size=slots - 1,
+        ))
+        pairs.append((_dest(addr), _outcome(
+            draw(st.sampled_from(_SHAPES)), addr, stamps,
+            slot=draw(st.integers(min_value=1, max_value=slots)),
+            counters=draw(st.sampled_from(((), ("sent",), ("sent", "x")))),
+            load=draw(st.sampled_from(((), ((3, 1),), ((3, 1), (9, 2))))),
+        )))
+    return slots, pairs
+
+
+@pytest.fixture(scope="module")
+def oracle_network():
+    return _scenario().network
+
+
+def _transform_matches_reference(
+    network, plan, attempt, vp_name, pairs, slots, round_no
+):
+    """Run the injector's transform and the reference on one batch;
+    assert equal pairs and equal ``faults_injected_total{kind}``
+    increments, and return the reference's taint counts."""
+    events = fault_event_counter(network.registry)
+    kinds = {spec.KIND for _index, spec in plan.misbehavior_specs()}
+    before = {k: events.labels(network.net_id, k).value for k in kinds}
+    injector = FaultInjector(network, plan)
+    injector.attempt = attempt
+    got = injector.misbehave_pairs(vp_name, pairs, slots, round_no)
+    want, tainted = _reference_misbehave(
+        plan, attempt, vp_name, pairs, slots, round_no
+    )
+    assert [dest for dest, _ in got] == [dest for dest, _ in want]
+    assert [_fields(o) for _, o in got] == [_fields(o) for _, o in want]
+    counted = {
+        k: events.labels(network.net_id, k).value - before[k] for k in kinds
+    }
+    assert counted == {k: tainted.get(k, 0) for k in kinds}
+    return tainted
+
+
+class TestTransformOracle:
+    """The transform tests each spec's precondition before its draws;
+    the reference draws first. Both must pick the same spec for every
+    pair, so outcomes and event counts match field for field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        specs=st.lists(_misbehavior_specs(), min_size=1, max_size=5),
+        plan_seed=st.integers(min_value=0, max_value=2**64 - 1),
+        vp_name=st.sampled_from(_VP_NAMES),
+        attempt=st.integers(min_value=1, max_value=3),
+        round_no=st.integers(min_value=0, max_value=3),
+        batch=_transform_inputs(),
+    )
+    def test_transform_equals_draw_first_reference(
+        self, oracle_network, specs, plan_seed, vp_name, attempt,
+        round_no, batch,
+    ):
+        slots, pairs = batch
+        _transform_matches_reference(
+            oracle_network, FaultPlan(seed=plan_seed, specs=specs),
+            attempt, vp_name, pairs, slots, round_no,
+        )
+
+    @pytest.mark.parametrize("spec,shape,winner", [
+        (StampCorruption(prob=1.0), "rr", "stamp_corruption"),
+        (StampCorruption(prob=1.0), "rr_no_slot", "zombie_vp"),
+        (OptionStrip(prob=1.0), "rr", "option_strip"),
+        (OptionStrip(prob=1.0), "no_rr", "zombie_vp"),
+        (TruncatedOption(prob=1.0), "rr", "truncated_option"),
+        (TruncatedOption(prob=1.0), "no_rr", "zombie_vp"),
+        (SpoofedReply(prob=1.0), "no_rr", "spoofed_reply"),
+        (SpoofedReply(prob=1.0), "ttl_exceeded", "zombie_vp"),
+        (None, "silent", "zombie_vp"),
+    ], ids=lambda value: getattr(value, "KIND", value))
+    def test_precondition_pins(self, oracle_network, spec, shape, winner):
+        """Each class's precondition at its edge, with a zombie that
+        selects every reply behind it: widening or narrowing the
+        precondition changes which spec wins. The zombie alone must
+        still taint a probe nobody answered."""
+        zombie = ZombieVp(vps=("mlab-lax",), dup_frac=1.0)
+        specs = (zombie,) if spec is None else (spec, zombie)
+        pairs = [
+            (_dest(addr), _outcome(shape, addr, (11, 12), slot=2))
+            for addr in range(1000, 1020)
+        ]
+        tainted = _transform_matches_reference(
+            oracle_network, FaultPlan(seed=5, specs=specs),
+            1, "mlab-lax", pairs, 9, 0,
+        )
+        assert tainted == {winner: len(pairs)}
+
+    def test_no_draw_for_a_reply_no_spec_can_taint(self, oracle_network):
+        """Selection draws only for replies the spec can taint: without
+        a live zombie, a probe nobody answered is never drawn for."""
+        calls = []
+
+        class Counted(SpoofedReply):
+            def selector(self, seed, vp_name, round_no=0):
+                select = super().selector(seed, vp_name, round_no)
+                return lambda dest: calls.append(dest) or select(dest)
+
+        plan = FaultPlan(seed=5, specs=(Counted(prob=0.5),))
+        pairs = [
+            (_dest(addr), _outcome(shape, addr, (11,)))
+            for addr, shape in enumerate(_SHAPES * 4)
+        ]
+        injector = FaultInjector(oracle_network, plan)
+        injector.misbehave_pairs("mlab-lax", pairs, 9)
+        assert calls == [
+            dest.addr for dest, outcome in pairs if outcome.responded
+        ]
 
 
 # -- the validator (unit) --------------------------------------------------
@@ -739,3 +1027,63 @@ class TestSidecarAndResume:
             baseline.survey, tmp_path, "base"
         ) == _survey_bytes(resumed.survey, tmp_path, "resumed")
         assert resumed.quality == baseline.quality
+
+
+class TestHostileCli:
+    """``repro chaos`` in a hostile world, through the CLI: stamp
+    corruption, option stripping, truncation and spoofing, plus a
+    zombie VP replaying one canned answer. CI's misbehavior smoke job
+    runs this test."""
+
+    #: sha256 of the saved survey's JSON payload (gzip's own bytes
+    #: depend on the zlib build) and of the quarantine sidecar.
+    SURVEY_SHA256 = (
+        "e71d465401c58dada57abf9bee421603b4af9fd085abe62b83b9791daca1fdff"
+    )
+    SIDECAR_SHA256 = (
+        "6e313e7d8f4613e13eb42da3ee082825ee8ceeeaf8abde8adabdc555943a217e"
+    )
+
+    def test_hostile_campaign_quarantines_and_degrades(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import EXIT_QUARANTINED, main
+
+        sidecar = tmp_path / "quarantine.json"
+        survey = tmp_path / "hostile.json.gz"
+        code = main([
+            "chaos", "--preset", "tiny", "--seed", "7",
+            "--faults", "hostile", "--dests", "60", "--jobs", "2",
+            "--supervise", "--quarantine-output", str(sidecar),
+            "--save-survey", str(survey),
+        ])
+        out = capsys.readouterr().out
+        (tmp_path / "manifest.json").write_text(out, "utf-8")
+        # The zombie is quarantined as garbage: exit code 4.
+        assert code == EXIT_QUARANTINED == 4
+        body, err = verify_embedded_checksum(
+            json.loads(sidecar.read_text("utf-8"))
+        )
+        assert err is None, err
+        assert body["records"], "no quarantine records"
+        reasons = {record["reason"] for record in body["records"]}
+        assert reasons <= set(QUARANTINE_REASONS), reasons
+        manifest = json.loads(out)
+        quality = manifest["quality"]
+        # Every invalid verdict produced exactly one sidecar record.
+        assert quality["verdicts"]["invalid"] == len(body["records"])
+        # Persistently invalid destinations degraded RR→ping, with the
+        # final reason recorded in the manifest.
+        assert quality["degraded_dests"], "no RR→ping degradations"
+        for row in quality["degraded_dests"]:
+            assert row["reason"] in QUARANTINE_REASONS, row
+        quarantined = manifest["quarantined_vps"]
+        assert any(
+            vp["kind"] == "garbage" for vp in quarantined.values()
+        ), quarantined
+        payload = gzip.decompress(survey.read_bytes())
+        assert hashlib.sha256(payload).hexdigest() == self.SURVEY_SHA256
+        assert (
+            hashlib.sha256(sidecar.read_bytes()).hexdigest()
+            == self.SIDECAR_SHA256
+        )

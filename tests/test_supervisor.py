@@ -24,6 +24,7 @@ import multiprocessing
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.parallel import SurveyWorkerError
 from repro.core.survey import (
@@ -53,7 +54,9 @@ from repro.faults.supervisor import (
 from repro.probing.artifacts import (
     CHECKSUM_KEY,
     atomic_write_text,
+    canonical_json_bytes,
     checksum_of,
+    checksummed_json_bytes,
     embed_checksum,
     record_line,
     split_checksum,
@@ -727,7 +730,35 @@ class TestCheckpointIntegrity:
 # ---------------------------------------------------------------------------
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+#: Top-level keys around the checksum's sorted place, the stale
+#: checksum key itself, and arbitrary text.
+_KEYS = st.sampled_from(
+    ("", "a", "s", "sha", "sha25", "sha256", "sha2560", "sha257",
+     "shb", "z", "SHA256", "\u00e9")
+) | st.text(max_size=8)
+
+
 class TestArtifactIntegrity:
+    @settings(max_examples=300)
+    @given(st.dictionaries(_KEYS, _JSON, max_size=8))
+    @example({})
+    @example({CHECKSUM_KEY: "stale"})
+    @example({"a": 1, CHECKSUM_KEY: "0" * 64, "z": {CHECKSUM_KEY: 2}})
+    def test_one_pass_encoding_equals_two_pass(self, record):
+        """Keys on both sides of the checksum's sorted place, nested
+        look-alikes and a stale digest all encode as the two-pass
+        ``canonical_json_bytes(embed_checksum(record))``."""
+        data = checksummed_json_bytes(record)
+        assert data == canonical_json_bytes(embed_checksum(record))
+        assert record_line(record) == data.decode("utf-8")
+
     def test_checksum_roundtrip(self):
         record = {"b": 2, "a": [1, 2]}
         sealed = embed_checksum(record)
