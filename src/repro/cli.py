@@ -485,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataplane", action="store_true",
         help="append the batched-dataplane section (stamp-plan cache "
              "hits/misses/evictions, compiles, invalidations, replays, "
-             "forward-path cache counters)",
+             "forward-path cache counters, replay and validation "
+             "seconds)",
     )
     stats.add_argument(
         "--health", action="store_true",
@@ -952,7 +953,9 @@ def _render_dataplane_section(snapshot: dict) -> str:
     Reads the stamp-plan cache counters (lookups by result, evictions,
     compiles, invalidations, replays) plus the forward-path cache they
     sit beside, so one glance answers "did probes replay compiled
-    plans, and how often did invalidation throw work away?".
+    plans, and how often did invalidation throw work away?". Then the
+    wall seconds of the per-batch stages (``dataplane_seconds_total``),
+    pool workers' included.
     """
     plan_lookups = _sum_series(
         snapshot, "plan_cache_lookups_total", by="result"
@@ -986,6 +989,10 @@ def _render_dataplane_section(snapshot: dict) -> str:
         f"  {'invalidations':<22} "
         f"{_sum_series(snapshot, 'path_cache_invalidations_total').get('', 0):>10}"
     )
+    seconds = _sum_series(snapshot, "dataplane_seconds_total", by="stage")
+    lines.append("stage seconds")
+    for stage in ("replay", "validate"):
+        lines.append(f"  {stage:<22} {seconds.get(stage, 0.0):>10.3f}")
     return "\n".join(lines)
 
 

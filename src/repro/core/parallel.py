@@ -326,7 +326,7 @@ def _worker_main(payload, setup, conn, heartbeat_value) -> None:
         key, label = task[0], str(task[1])
         REGISTRY.reset()
         TRACER.reset()
-        network.options_load.clear()
+        network.reset_options_load()
         session_times.clear()
         destinations = 0
         task_beat: Optional[Callable[[], None]] = None

@@ -455,11 +455,14 @@ def probe_vp_rr(
                         network.registry, network.net_id,
                     )
                     verdicts = validator.check_batch(pairs, round_no=0)
-                    for (dest, _outcome), (verdict, reason) in zip(
-                        pairs, verdicts
-                    ):
-                        if verdict == INVALID:
-                            invalid[dest.addr] = (dest, reason)
+                    # The validator is fresh, so its count is this
+                    # round's: a VP with no invalid reply skips the scan.
+                    if validator.verdict_counts[INVALID]:
+                        for (dest, _outcome), (verdict, reason) in zip(
+                            pairs, verdicts
+                        ):
+                            if verdict == INVALID:
+                                invalid[dest.addr] = (dest, reason)
                     # Retry rounds: re-probe only the invalid
                     # destinations, in probe order. A non-sticky
                     # misbehavior re-rolls per round, so a retry can
@@ -518,18 +521,25 @@ def probe_vp_rr(
                     )
     finally:
         network.end_vp_session()
+    if invalid or replaced:
+        # Quarantined destinations (possibly degraded) make no row; a
+        # retry that validated stands in for the first reply.
+        pairs = [
+            (dest, replaced.get(dest.addr, outcome))
+            for dest, outcome in pairs
+            if dest.addr not in invalid
+        ]
     rows: List[Tuple[int, Optional[int]]] = []
+    row_append = rows.append
     inprefix: Dict[int, Set[int]] = {}
     for dest, outcome in pairs:
-        if dest.addr in invalid:
-            continue  # quarantined (and possibly degraded) — no row
-        outcome = replaced.get(dest.addr, outcome)
-        if not outcome.rr_responsive:
-            continue
-        dest_index = position[dest.addr]
-        rows.append((dest_index, outcome.dest_slot))
-        if outcome.inprefix:
-            inprefix.setdefault(dest_index, set()).update(outcome.inprefix)
+        if outcome.rr_responsive:
+            dest_index = position[dest.addr]
+            row_append((dest_index, outcome.dest_slot))
+            if outcome.inprefix:
+                inprefix.setdefault(dest_index, set()).update(
+                    outcome.inprefix
+                )
     packed = sorted(
         (dest_index, tuple(sorted(addrs)))
         for dest_index, addrs in inprefix.items()

@@ -24,6 +24,7 @@ ship their counts home through the usual snapshot merge.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.faults.specs import (
@@ -161,6 +162,9 @@ class FaultInjector:
 
         #: (t0, t1, frozenset of flapped (a, b) AS adjacencies, a < b).
         self._flap_windows: List[Tuple[float, float, FrozenSet]] = []
+        #: Every window's bounds, sorted: the live flap set can change
+        #: only where the session clock reaches one of them.
+        self._flap_bounds: List[float] = []
         self._compile_flaps()
         #: Memoised union of currently-active flap edge sets, keyed by
         #: the active-window bitmask (walks are hot; unions are not).
@@ -218,6 +222,10 @@ class FaultInjector:
             t0 = spec.start * self.horizon
             t1 = t0 + spec.duration * self.horizon
             self._flap_windows.append((t0, t1, chosen))
+        self._flap_bounds = sorted(
+            {bound for t0, t1, _edges in self._flap_windows
+             for bound in (t0, t1)}
+        )
 
     # -- session lifecycle ---------------------------------------------------
 
@@ -285,6 +293,20 @@ class FaultInjector:
             self._flap_union[mask] = merged
             union = merged
         return union
+
+    def flap_span(self, now: float) -> Tuple[Optional[FrozenSet], float]:
+        """``(active_flap_edges(now), until)``: the flap set holds for
+        every send time from ``now`` up to, not including, ``until``,
+        the first window bound after ``now`` (``inf`` past the last).
+
+        A window is live for ``t0 <= t < t1``, so between two adjacent
+        bounds no window opens or closes; the replay loop looks the
+        set up again only once its clock reaches ``until``.
+        """
+        bounds = self._flap_bounds
+        index = bisect_right(bounds, now)
+        until = bounds[index] if index < len(bounds) else float("inf")
+        return self.active_flap_edges(now), until
 
     def burst_lost(self) -> bool:
         """Advance every loss chain one draw; True = packet killed.

@@ -30,7 +30,9 @@ table. This matches the simulator's single-writer usage.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "get_registry",
+    "dataplane_seconds_counter",
     "DEFAULT_TIME_BUCKETS",
 ]
 
@@ -117,6 +120,26 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
+
+    def observe_all(self, values: Sequence[float]) -> None:
+        """``observe`` each of ``values`` (real numbers, no NaN).
+
+        Counts come from one sort: a value lands in the first bucket
+        whose bound is not below it, so each bucket takes the values
+        up to its bound less those up to the bound before. The sum
+        still adds the values one by one in order, so it is bit-equal
+        to the per-value path (float addition does not associate).
+        """
+        ordered = sorted(values)
+        counts = self.counts
+        below = 0
+        for index, bound in enumerate(self.bounds):
+            upto = bisect_right(ordered, bound)
+            counts[index] += upto - below
+            below = upto
+        counts[-1] += len(ordered) - below
+        self.sum = reduce(add, values, self.sum)
+        self.count += len(ordered)
 
     def reset(self) -> None:
         for index in range(len(self.counts)):
@@ -481,6 +504,21 @@ class MetricsRegistry:
 
 #: The process-wide default registry.
 REGISTRY = MetricsRegistry()
+
+
+def dataplane_seconds_counter(registry: MetricsRegistry) -> CounterFamily:
+    """``dataplane_seconds_total{net, stage}``: wall seconds per stage.
+
+    Timed once per batch, never per probe: ``replay`` around each
+    ``Prober._replay`` call, ``validate`` around each
+    ``ReplyValidator.check_batch``.
+    """
+    return registry.counter(
+        "dataplane_seconds_total",
+        "Wall-clock seconds spent in each per-batch dataplane stage "
+        "(replay, validate).",
+        ("net", "stage"),
+    )
 
 
 def get_registry() -> MetricsRegistry:

@@ -25,7 +25,10 @@ sequence through compiled stamp plans, a paced batch at a chosen pps.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter as _Tally
+from operator import attrgetter
+from time import perf_counter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.net.icmp import (
     ICMP_DEST_UNREACH,
@@ -81,6 +84,11 @@ _MX_CACHE_MAX = 64
 #: "sends", so no counter moves and no draw is consumed (the walk's
 #: early return).
 _SILENT = Outcome()
+
+#: A flap-window bound no send time reaches.
+_NEVER = float("inf")
+
+_counters_of = attrgetter("counters")
 
 
 def _walk_rr(prober, vp, addr, slots, ttl, count, pps) -> Outcome:
@@ -550,7 +558,8 @@ class Prober:
         self,
         vp: VantagePoint,
         kind: _Kind,
-        targets: Sequence[Tuple[int, Optional[Destination]]],
+        addrs: Sequence[int],
+        resolved: Sequence[Optional[Destination]],
         slots: int,
         ttl: int,
         count: int,
@@ -559,11 +568,11 @@ class Prober:
     ) -> Tuple[list, list, list, list]:
         """Replay one VP's probes of one kind through compiled plans.
 
-        ``targets`` comes from :meth:`_resolve_targets`: an address
-        paired with its hitlist ``Destination`` replays that plan, one
-        paired with ``None`` walks hop-by-hop (``kind.walk``). Each
-        target gets up to ``count`` attempts and stops at the first
-        response. Every replayed probe consumes exactly the clock
+        ``addrs`` and ``resolved`` come from :meth:`_resolve_targets`:
+        an address paired with its hitlist ``Destination`` replays that
+        plan, one paired with ``None`` walks hop-by-hop (``kind.walk``).
+        Each target gets up to ``count`` attempts and stops at the
+        first response. Every replayed probe consumes exactly the clock
         advance, token-bucket draws, and loss-stream draws the walk
         would, in the same order, so mixing replayed and walked probes
         within one batch cannot shift a single byte.
@@ -576,17 +585,24 @@ class Prober:
         in the other three. Parallel lists rather than a row tuple per
         target keep ping-RR's hot loop at appends.
 
-        Counters, ident/seq draws, and per-AS options load are folded
-        into one add per batch in a ``finally`` block: a supervision
-        heartbeat raising mid-batch (injected hangs) leaves exactly the
-        completed probes' state behind, as the walk would.
+        Per attempt the loop runs the gates and lists the outcome (and
+        a reply's RTT); everything else is per batch. The template key
+        is rebuilt only when the clock reaches the next flap-window
+        bound (never without an injector), and with no injector or
+        tracer attached a loss gate draws the plain lottery inline.
+        Counters, RTTs, ident/seq draws and per-AS options load are
+        folded once per batch by :meth:`_fold`, in a ``finally``: a
+        supervision heartbeat raising mid-batch (injected hangs)
+        leaves exactly the completed probes' state behind, as the walk
+        would.
         """
         if kind.options and vp.local_filtered:
-            for _target in targets:
+            for _addr in addrs:
                 if heartbeat is not None:
                     heartbeat()
-            none = [None] * len(targets)
-            return [_SILENT] * len(targets), none, none, none
+            none = [None] * len(addrs)
+            return [_SILENT] * len(addrs), none, none, none
+        began = perf_counter()
         network = self.network
         outcomes: list = []
         sents: list = []
@@ -601,17 +617,28 @@ class Prober:
         clock = network.clock
         injector = network._injector
         lost = network._lost
-        rtt_observe = metrics.rtt.observe
+        # Network._lost's plain lottery, drawn inline when neither an
+        # injector (burst overlay) nor a tracer (drop events) hooks it.
+        plain_loss = injector is None and network._tracer is None
+        loss_draw = network._loss_rng.random
+        loss_prob = network.params.loss_prob
+        loss_on = not loss_prob <= 0  # _lost's own test: NaN draws
         dt = 1.0 / (self.default_pps if pps is None else pps)
         span_on = bool(self.span_sample) and _TRACER.enabled
         plans = network._plans
         code = kind.code
-        base_key = (code, slots, ttl, None)
+        # The template key holds until the send time reaches ``until``:
+        # for good without an injector, else up to the next flap-window
+        # bound (``FaultInjector.flap_span``).
+        tkey = (code, slots, ttl, None)
+        until = _NEVER if injector is None else -_NEVER
         walk = kind.walk
         attempts = range(1, count + 1)
-        n = replied_n = plan_hits = 0
+        misses = losses = 0
         fates: list = []
         fate_append = fates.append
+        rtts: list = []
+        rtt_append = rtts.append
         # A replayed target's values; with no attempts (count < 1)
         # every one keeps these.
         sent, outcome, plan = 0, _SILENT, None
@@ -622,7 +649,7 @@ class Prober:
         # would have.
         now = clock.now
         try:
-            for addr, dest in targets:
+            for addr, dest in zip(addrs, resolved):
                 if heartbeat is not None:
                     heartbeat()
                 if dest is None:
@@ -637,17 +664,14 @@ class Prober:
                 for sent in attempts:
                     start = now
                     now += dt
-                    n += 1
                     plan = plans.get(key)
                     if plan is None:
                         plan = network._plan_miss(key, src_asn, dest)
+                        misses += 1
                     else:
-                        plan_hits += 1
                         plans.move_to_end(key)
-                    if injector is None:
-                        tkey = base_key
-                    else:
-                        flapset = injector.active_flap_edges(now)
+                    if now >= until:
+                        flapset, until = injector.flap_span(now)
                         tkey = (code, slots, ttl, flapset or None)
                     if tkey == plan.fast_key:
                         template = plan.fast_tpl
@@ -661,7 +685,12 @@ class Prober:
                         for op in ops:
                             router = op[0]
                             if router is None:
-                                if lost():
+                                if plain_loss:
+                                    if loss_on and loss_draw() < loss_prob:
+                                        losses += 1
+                                        outcome = op[3]
+                                        break
+                                elif lost():
                                     outcome = op[3]
                                     break
                             else:
@@ -676,8 +705,7 @@ class Prober:
                                     break
                     fate_append(outcome)
                     if outcome.replied:
-                        replied_n += 1
-                        rtt_observe(now - start)
+                        rtt_append(now - start)
                     if span_on:
                         self._span_seen += 1
                         if self._span_seen >= self.span_sample:
@@ -697,11 +725,9 @@ class Prober:
                 used_append(plan)
         finally:
             clock._now = now
-            if n:
-                self._fold(
-                    metrics, network, fates,
-                    n, replied_n, plan_hits,
-                )
+            if fates:
+                self._fold(metrics, network, fates, rtts, misses, losses)
+            network._replay_seconds.inc(perf_counter() - began)
         return outcomes, sents, ats, used
 
     def _fold(
@@ -709,72 +735,77 @@ class Prober:
         metrics: _ProbeMetrics,
         network: Network,
         fates: list,
-        n: int,
-        replied_n: int,
-        plan_hits: int,
+        rtts: list,
+        misses: int,
+        losses: int,
     ) -> None:
         """One batch's deferred accounting, applied as single adds.
 
-        ``fates`` lists each replayed attempt's :class:`Outcome`, in
-        probe order; their counter and options-load contributions are
-        summed here and applied as one add per counter and per AS.
-        Everything is commutative integer arithmetic, so deferring it
-        cannot change any total the legacy per-probe path produces —
-        only the number of registry increments. Summed in probe order,
-        ASes enter ``options_load`` in the order the probes first
-        loaded them.
+        ``fates`` lists each replayed attempt's :class:`Outcome` and
+        ``rtts`` each reply's RTT, in probe order; ``misses`` counts
+        the attempts that compiled their plan and ``losses`` the
+        inlined loss-lottery drops. Outcomes share about ten interned
+        counter tuples, so one tally of the tuples gives every counter
+        its add; the RTT histogram takes the batch in one call that
+        still sums in probe order; the options load is tallied per
+        outcome and expanded on the next read
+        (:meth:`Network.add_replayed_load`). All of it is commutative
+        integer arithmetic, except the RTT sum, so deferring it cannot
+        change any total the per-probe path produces, only the number
+        of registry increments.
         """
+        n = len(fates)
+        replied_n = len(rtts)
         metrics.probes.inc(n)
         if replied_n:
             metrics.replies.inc(replied_n)
+            metrics.rtt.observe_all(rtts)
         if n > replied_n:
             metrics.timeouts.inc(n - replied_n)
         # Each replayed probe would have drawn one (ident, seq) pair.
         self._ident = (self._ident + n) & 0xFFFF
         self._seq = (self._seq + n) & 0xFFFF
-        network._plan_hits.inc(plan_hits)
-        network._plan_misses.inc(n - plan_hits)
+        hits = n - misses
+        network._plan_hits.inc(hits)
+        network._plan_misses.inc(misses)
         # A plan-cache hit skipped the _forward_path call the legacy
         # walk performs per probe; fold the hits it would have counted
         # (compiles run _forward_path themselves, covering the misses).
-        if plan_hits:
-            network._path_hits.inc(plan_hits)
+        if hits:
+            network._path_hits.inc(hits)
         network._plan_replays.inc(n)
-        tally: dict = {}
-        load: dict = {}
-        for outcome in fates:
-            for counter in outcome.counters:
-                tally[counter] = tally.get(counter, 0) + 1
-            for asn, cnt in outcome.load:
-                load[asn] = load.get(asn, 0) + cnt
-        for counter, count in tally.items():
-            counter.inc(count)
-        options_load = network.options_load
-        for asn, count in load.items():
-            options_load[asn] = options_load.get(asn, 0) + count
+        if losses:
+            network._mx.dropped_loss.inc(losses)
+        for counters, count in _Tally(map(_counters_of, fates)).items():
+            for counter in counters:
+                counter.inc(count)
+        network.add_replayed_load(fates)
 
     def _resolve_targets(
-        self, vp: VantagePoint, addrs: Iterable[int]
-    ) -> List[Tuple[int, Optional[Destination]]]:
-        """Decide, per probed address, whether it replays or walks.
+        self, vp: VantagePoint, dests: Sequence[Destination]
+    ) -> Tuple[List[int], List[Optional[Destination]]]:
+        """Decide, per probed destination, whether it replays or walks.
 
-        The one place that picks the dataplane. An address paired with
-        its hitlist ``Destination`` replays that destination's compiled
-        plan; one paired with ``None`` walks hop-by-hop. ``None`` goes
-        to every address when ``batching`` is off (the walk is the
-        reference) or when the source AS is outside the graph (the walk
-        drops such a packet at injection, which plans don't model), and
-        to any address outside the hitlist (routers or voids).
+        The one place that picks the dataplane. Returns two aligned
+        lists, the probed addresses and what each resolved to. An
+        address paired with its hitlist ``Destination`` replays that
+        destination's compiled plan; one paired with ``None`` walks
+        hop-by-hop. ``None`` goes to every address when ``batching`` is
+        off (the walk is the reference) or when the source AS is
+        outside the graph (the walk drops such a packet at injection,
+        which plans don't model), and to any address outside the
+        hitlist (routers or voids).
 
-        Resolution goes through ``hitlist.by_addr`` — the same lookup
-        ``send_packet`` performs — so a plan is always compiled for the
-        *stored* destination, even if a caller hands in a look-alike.
+        Resolution goes through the hitlist's address index, the same
+        lookup ``send_packet`` performs, so a plan is always compiled
+        for the *stored* destination, even if a caller hands in a
+        look-alike.
         """
         network = self.network
+        addrs = [dest.addr for dest in dests]
         if not self.batching or vp.addr >> 16 not in network.graph:
-            return [(addr, None) for addr in addrs]
-        by_addr = network.hitlist.by_addr
-        return [(addr, by_addr(addr)) for addr in addrs]
+            return addrs, [None] * len(addrs)
+        return addrs, list(map(network.hitlist._by_addr.get, addrs))
 
     def probe_batch_rows(
         self,
@@ -805,9 +836,9 @@ class Prober:
         deferred accounting, so the taint is byte-identical either way
         and never perturbs counters.
         """
-        targets = self._resolve_targets(vp, (dest.addr for dest in dests))
+        addrs, resolved = self._resolve_targets(vp, dests)
         outcomes = self._replay(
-            vp, _RR, targets, slots, ttl, 1, pps, heartbeat
+            vp, _RR, addrs, resolved, slots, ttl, 1, pps, heartbeat
         )[0]
         pairs = list(zip(dests, outcomes))
         injector = self.network._injector
@@ -825,12 +856,13 @@ class Prober:
     ) -> List[PingResult]:
         """Batched plain-ping rounds over hitlist destinations: up to
         ``count`` Echo Requests each, stopping at the first reply."""
-        targets = self._resolve_targets(vp, (dest.addr for dest in dests))
+        addrs, resolved = self._resolve_targets(vp, dests)
         rows = self._replay(
-            vp, _PING, targets, 0, DEFAULT_TTL, count, pps, heartbeat
+            vp, _PING, addrs, resolved, 0, DEFAULT_TTL, count, pps,
+            heartbeat,
         )
         results: List[PingResult] = []
-        for (addr, _dest), outcome, sent, at, plan in zip(targets, *rows):
+        for addr, outcome, sent, at, plan in zip(addrs, *rows):
             if isinstance(outcome, PingResult):
                 results.append(outcome)  # walked
             elif outcome.responded:

@@ -14,7 +14,7 @@ import enum
 from typing import List, Sequence
 
 from repro.topology.hitlist import Destination
-from repro.rng import stable_rng
+from repro.rng import shuffle, stable_rng
 
 __all__ = ["ProbeOrder", "order_destinations", "split_round_robin"]
 
@@ -44,7 +44,7 @@ def order_destinations(
     if policy is ProbeOrder.BY_PREFIX:
         ordered.sort(key=lambda dest: (dest.prefix.base, dest.addr))
         return ordered
-    stable_rng(seed, "probe-order", salt).shuffle(ordered)
+    shuffle(stable_rng(seed, "probe-order", salt), ordered)
     return ordered
 
 

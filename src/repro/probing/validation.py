@@ -48,10 +48,15 @@ verdicts), and its outputs are sorted before they land in artifacts.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.options import OptionDecodeError, RecordRouteOption
-from repro.obs.metrics import CounterFamily, MetricsRegistry
+from repro.obs.metrics import (
+    CounterFamily,
+    MetricsRegistry,
+    dataplane_seconds_counter,
+)
 
 __all__ = [
     "INVALID",
@@ -156,10 +161,26 @@ def merge_quality(total: dict, part: Optional[dict]) -> dict:
     return total
 
 
+def _decodes(wire: bytes) -> bool:
+    """Whether raw option bytes re-decode as a Record Route option."""
+    try:
+        RecordRouteOption.from_bytes(wire)
+    except OptionDecodeError:
+        return False
+    return True
+
+
+#: ``check_batch`` results, shared instead of built per reply.
+_UNANSWERED: Tuple[None, None] = (None, None)
+_VALID = (VALID, None)
+_RR_ABSENT = (SUSPECT, REASON_RR_ABSENT)
+_INVALID = {reason: (INVALID, reason) for reason in QUARANTINE_REASONS}
+
+
 class ReplyValidator:
     """One vantage point's reply-validation pipeline.
 
-    Stateful across retry rounds: the duplicate detector accumulates
+    Stateful across retry rounds: the duplicate registry accumulates
     every ``(rr, dest_slot)`` signature it has seen for this VP, so a
     zombie's canned reply stays flagged even when a retry re-probes a
     single destination. All counters land in the supplied registry
@@ -183,9 +204,15 @@ class ReplyValidator:
             for verdict in (VALID, SUSPECT, INVALID)
         }
         self._quarantine_family = quarantine_counter(registry)
+        self._seconds = dataplane_seconds_counter(registry).labels(
+            net_id, "validate"
+        )
         self._net_id = net_id
-        #: (rr tuple, dest_slot) -> distinct dest addrs that claimed it.
-        self._dup_seen: Dict[Tuple, Set[int]] = {}
+        #: The duplicate registry: each (rr tuple, dest_slot) signature's
+        #: first claimant, and the signatures a second, distinct
+        #: destination has claimed too.
+        self._dup_first: Dict[Tuple, int] = {}
+        self._dup_keys: Set[Tuple] = set()
         self.checked = 0
         self.verdict_counts = {VALID: 0, SUSPECT: 0, INVALID: 0}
         self.reason_counts: Dict[str, int] = {}
@@ -203,66 +230,99 @@ class ReplyValidator:
         unanswered probe (nothing to validate). Must be called with a
         *complete* round — the duplicate pre-scan needs to see every
         reply of the round before judging any of them.
+
+        One loop applies the module's checks in order, first failure
+        wins; verdicts are counted per batch and added once.
         """
+        began = perf_counter()
         # Pre-scan: register this round's signatures so the *first*
         # occurrence of a duplicated reply is flagged too.
-        dup_seen = self._dup_seen
+        first = self._dup_first
+        dups = self._dup_keys
         for dest, outcome in pairs:
             if outcome.rr_responsive and outcome.dest_slot is not None:
                 key = (outcome.rr, outcome.dest_slot)
-                dup_seen.setdefault(key, set()).add(dest.addr)
+                if first.setdefault(key, dest.addr) != dest.addr:
+                    dups.add(key)
+        slots = self.slots
         results: List[Tuple[Optional[str], Optional[str]]] = []
+        append = results.append
+        valid = suspect = 0
+        invalid: List[Tuple] = []
         for dest, outcome in pairs:
-            verdict, reason = self._check_one(dest, outcome)
-            if verdict is not None:
-                self.checked += 1
-                self.verdict_counts[verdict] += 1
-                self._verdict_counters[verdict].inc()
-                if reason is not None:
-                    self.reason_counts[reason] = (
-                        self.reason_counts.get(reason, 0) + 1
-                    )
-                if verdict == INVALID:
-                    self._invalid_dests.add(dest.addr)
-                    self.quarantined.append(
-                        self._record(dest, outcome, reason, round_no)
-                    )
-                    self._quarantine_family.labels(
-                        self._net_id, reason
-                    ).inc()
-            results.append((verdict, reason))
-        return results
-
-    def _check_one(
-        self, dest, outcome
-    ) -> Tuple[Optional[str], Optional[str]]:
-        if not outcome.responded:
-            return None, None
-        if outcome.wire is not None:
-            try:
-                RecordRouteOption.from_bytes(outcome.wire)
-            except OptionDecodeError:
-                return INVALID, REASON_OPTION_MALFORMED
-        if outcome.rr_responsive and outcome.dest_slot is not None:
-            key = (outcome.rr, outcome.dest_slot)
-            if len(self._dup_seen.get(key, ())) >= 2:
-                return INVALID, REASON_DUPLICATE
-        if outcome.reply_src is not None and outcome.reply_src != dest.addr:
-            return INVALID, REASON_SPOOFED
-        if outcome.reply_has_rr:
-            if len(outcome.rr) > self.slots:
-                return INVALID, REASON_TOO_MANY_STAMPS
-            if outcome.dest_slot is not None:
+            if not outcome.responded:
+                append(_UNANSWERED)
+                continue
+            if outcome.wire is not None and not _decodes(outcome.wire):
+                reason = REASON_OPTION_MALFORMED
+            # The pre-scan registers no signature with a None slot, so
+            # the lookup needs no slot test of its own.
+            elif (
+                dups
+                and outcome.rr_responsive
+                and (outcome.rr, outcome.dest_slot) in dups
+            ):
+                reason = REASON_DUPLICATE
+            elif (
+                outcome.reply_src is not None
+                and outcome.reply_src != dest.addr
+            ):
+                reason = REASON_SPOOFED
+            elif not outcome.reply_has_rr:
+                suspect += 1
+                append(_RR_ABSENT)
+                continue
+            else:
+                rr = outcome.rr
+                slot = outcome.dest_slot
+                if len(rr) > slots:
+                    reason = REASON_TOO_MANY_STAMPS
                 # dest_slot is the 1-based RR slot claimed to hold the
                 # destination's own address (the survey's row value).
-                if (
-                    outcome.dest_slot < 1
-                    or outcome.dest_slot > len(outcome.rr)
-                    or outcome.rr[outcome.dest_slot - 1] != dest.addr
+                elif slot is not None and (
+                    slot < 1 or slot > len(rr) or rr[slot - 1] != dest.addr
                 ):
-                    return INVALID, REASON_STAMP_MISMATCH
-            return VALID, None
-        return SUSPECT, REASON_RR_ABSENT
+                    reason = REASON_STAMP_MISMATCH
+                else:
+                    valid += 1
+                    append(_VALID)
+                    continue
+            invalid.append((dest, outcome, reason))
+            append(_INVALID[reason])
+        self._count(valid, suspect, invalid, round_no)
+        self._seconds.inc(perf_counter() - began)
+        return results
+
+    def _count(
+        self, valid: int, suspect: int, invalid: List[Tuple], round_no: int
+    ) -> None:
+        """Add one batch's verdicts: counts, reasons, quarantine."""
+        self.checked += valid + suspect + len(invalid)
+        counts = self.verdict_counts
+        reasons = self.reason_counts
+        if valid:
+            counts[VALID] += valid
+            self._verdict_counters[VALID].inc(valid)
+        if suspect:
+            counts[SUSPECT] += suspect
+            self._verdict_counters[SUSPECT].inc(suspect)
+            reasons[REASON_RR_ABSENT] = (
+                reasons.get(REASON_RR_ABSENT, 0) + suspect
+            )
+        if not invalid:
+            return
+        counts[INVALID] += len(invalid)
+        self._verdict_counters[INVALID].inc(len(invalid))
+        quarantined: Dict[str, int] = {}
+        for dest, outcome, reason in invalid:
+            quarantined[reason] = quarantined.get(reason, 0) + 1
+            self._invalid_dests.add(dest.addr)
+            self.quarantined.append(
+                self._record(dest, outcome, reason, round_no)
+            )
+        for reason, count in quarantined.items():
+            reasons[reason] = reasons.get(reason, 0) + count
+            self._quarantine_family.labels(self._net_id, reason).inc(count)
 
     def _record(self, dest, outcome, reason: str, round_no: int) -> dict:
         """One quarantine sidecar record (JSON-roundtrippable)."""

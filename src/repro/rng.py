@@ -22,16 +22,20 @@ __all__ = [
     "stable_randint",
     "stable_rng",
     "derive_seed",
+    "shuffle",
 ]
 
 T = TypeVar("T")
 
 
 def _feed(hasher, parts: Tuple[object, ...]) -> None:
-    """Feed primitive parts to a stable hasher, in order."""
-    for part in parts:
-        hasher.update(repr(part).encode("utf-8"))
-        hasher.update(b"\x1f")  # unit separator: ("ab","c") != ("a","bc")
+    """Feed primitive parts to a stable hasher, in order.
+
+    Each part goes in as its ``repr`` followed by a unit separator
+    (so ``("ab", "c") != ("a", "bc")``), all in one update: UTF-8
+    encodes a concatenation as the concatenation of its parts.
+    """
+    hasher.update(("%r\x1f" * len(parts) % parts).encode("utf-8"))
 
 
 def _digest(parts: Tuple[object, ...]) -> bytes:
@@ -105,6 +109,29 @@ def stable_rng(*parts: object) -> random.Random:
     for one-shot decisions prefer :func:`stable_uniform` and friends.
     """
     return random.Random(stable_u64(*parts))
+
+
+def shuffle(rng: random.Random, items: list) -> None:
+    """``rng.shuffle(items)``, without a call frame per element.
+
+    The same Fisher-Yates walk and the same rejection draws as
+    :meth:`random.Random.shuffle` (``_randbelow_with_getrandbits``),
+    made through the bound ``getrandbits``, so every seed gives the
+    same permutation and leaves ``rng`` in the same state. Position
+    ``i`` swaps with a draw below ``i + 1``; positions whose ``i + 1``
+    shares a bit length draw that many bits, so it is set per run.
+    """
+    getrandbits = rng.getrandbits
+    top = len(items) - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        low = (1 << (bits - 1)) - 1
+        for i in range(top, low - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        top = low - 1
 
 
 def derive_seed(seed: int, label: str) -> int:

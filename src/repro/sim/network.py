@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from collections import Counter as _Tally, OrderedDict
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.addr import Prefix
 from repro.net.icmp import (
@@ -41,7 +41,12 @@ from repro.net.icmp import (
 )
 from repro.net.packet import IPv4Packet, PROTO_ICMP, PROTO_UDP
 from repro.net.udp import HIGH_PORT_FLOOR, UdpDatagram, UdpDecodeError
-from repro.obs.metrics import Counter, MetricsRegistry, REGISTRY
+from repro.obs.metrics import (
+    Counter,
+    MetricsRegistry,
+    REGISTRY,
+    dataplane_seconds_counter,
+)
 from repro.obs.trace import PacketTracer
 from repro.rng import derive_seed, stable_u64
 from repro.sim.clock import SimClock
@@ -321,6 +326,9 @@ class Network:
             "Probes replayed through compiled stamp plans.",
             ("net",),
         ).labels(self.net_id)
+        self._replay_seconds = dataplane_seconds_counter(
+            self.registry
+        ).labels(self.net_id, "replay")
         self._loss_rng = random.Random(derive_seed(params.seed, "loss"))
         #: The shared (legacy) loss stream, restored when a per-VP
         #: probe session ends.
@@ -332,11 +340,14 @@ class Network:
         #: elapsed time to it. Pool workers keep one per task and ship
         #: it home, so the parent's clock adds up as in-process.
         self.session_times: Optional[List[float]] = None
-        #: Slow-path load: options packets processed per AS, i.e. the
-        #: route-processor work [10] that §4.2's TTL limiting exists to
-        #: reduce and that the conclusion worries operators will react
-        #: to. Counted per router traversal of an options packet.
-        self.options_load: Dict[int, int] = {}
+        #: Per-AS slow-path load, as read through :attr:`options_load`.
+        self._options_load: Dict[int, int] = {}
+        #: Replayed outcomes whose load is not yet in ``_options_load``,
+        #: with how often each was replayed (see :meth:`_flush_load`).
+        self._pending_load: "_Tally[object]" = _Tally()
+        #: Set by a plan eviction: the batch in flight may have replayed
+        #: the evicted plan, so its outcomes are expanded on arrival.
+        self._flush_due = False
 
     # -- tracing ---------------------------------------------------------
 
@@ -395,8 +406,53 @@ class Network:
     def _drop_plans(self) -> None:
         """Drop every compiled stamp plan (and its templates with it)."""
         if self._plans:
+            self._flush_load()
             self._plan_invalidations.inc()
             self._plans.clear()
+
+    # -- slow-path load ----------------------------------------------------
+
+    @property
+    def options_load(self) -> Dict[int, int]:
+        """Slow-path load: options packets processed per AS, i.e. the
+        route-processor work [10] that §4.2's TTL limiting exists to
+        reduce and that the conclusion worries operators will react
+        to. Counted per router traversal of an options packet; reading
+        it first folds in every replayed probe still pending."""
+        if self._pending_load:
+            self._flush_load()
+        return self._options_load
+
+    def add_replayed_load(self, outcomes: Iterable) -> None:
+        """Count replayed outcomes toward :attr:`options_load`, lazily.
+
+        One batch's outcomes go into a tally in one pass; their
+        ``load`` pairs are added when the load is next read, once per
+        distinct outcome. Outcomes recur across the VPs behind one
+        ingress AS, so most of a survey's probes add nothing but a
+        count.
+        """
+        self._pending_load.update(outcomes)
+        if self._flush_due:
+            self._flush_load()
+
+    def _flush_load(self) -> None:
+        """Add every pending outcome's load to ``_options_load``.
+
+        Runs before each read, reset, plan eviction and plan drop (and
+        after a batch that evicted a plan), so no pending count
+        outlives the plan whose template owns its outcome. Plans are
+        only dropped between batches. Integer products equal the
+        per-probe sums, and expanding outcomes in first-tally order
+        inserts each AS where the probe that first loaded it would
+        have.
+        """
+        load = self._options_load
+        for outcome, count in self._pending_load.items():
+            for asn, hops in outcome.load:
+                load[asn] = load.get(asn, 0) + hops * count
+        self._pending_load.clear()
+        self._flush_due = False
 
     # -- entity resolution ---------------------------------------------------
 
@@ -482,7 +538,9 @@ class Network:
 
     def reset_options_load(self) -> None:
         """Zero the per-AS slow-path counters (between epochs)."""
-        self.options_load.clear()
+        self._pending_load.clear()
+        self._flush_due = False
+        self._options_load.clear()
 
     def set_as_options_filter(self, asn: int, filters: bool) -> None:
         """Flip an AS's options-filtering policy at runtime.
@@ -608,8 +666,10 @@ class Network:
         plan = self._compile_plan(src_asn, dest)
         self._plans[key] = plan
         if len(self._plans) > self.plan_cache_cap:
+            self._flush_load()
             self._plans.popitem(last=False)
             self._plan_evictions.inc()
+            self._flush_due = True
         return plan
 
     def _compile_plan(self, src_asn: int, dest: Destination) -> RoundTripPlan:
@@ -752,6 +812,9 @@ class Network:
         rr = pkt.record_route
         ts = pkt.timestamp_option
         has_options = pkt.has_options
+        # Read once: the property folds in pending replayed load first,
+        # so this walk's additions land after it, in probe order.
+        options_load = self.options_load if has_options else None
         mx = self._mx
         tracer = self._tracer
         injector = self._injector
@@ -837,9 +900,7 @@ class Network:
                     pkt.ttl -= 1
                 if has_options:
                     asn = hop.router.asn
-                    self.options_load[asn] = (
-                        self.options_load.get(asn, 0) + 1
-                    )
+                    options_load[asn] = options_load.get(asn, 0) + 1
                     if policy.drops_options:
                         mx.dropped_filtered.inc()
                         if tracer is not None:

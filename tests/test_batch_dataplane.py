@@ -696,3 +696,10 @@ class TestStatsCli:
         assert "plan_replays_total" in out
         assert "plan_compiles_total" in out
         assert "forward-path cache" in out
+        assert "stage seconds" in out
+        for stage in ("replay", "validate"):
+            line = next(
+                line for line in out.splitlines()
+                if line.split()[:1] == [stage]
+            )
+            assert float(line.split()[1]) > 0, line
