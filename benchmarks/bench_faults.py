@@ -29,7 +29,16 @@ Three questions, answered with wall-clock numbers and a parity bar:
   (:mod:`repro.probing.validation`) runs on every survey by default;
   on a *clean* path it must find nothing, change zero bytes
   (``validate=False`` parity is gated), and cost < 5% (gated:
-  ``validation_overhead``, best-of-two on both sides).
+  ``validation_overhead``). Timed on whole-hitlist, all-VP surveys
+  even under ``--quick``, since a quick slice's surveys are too short
+  to resolve 5%. One untimed survey each way warms the process up and
+  gives the parity check. Then each of ``VALIDATION_PAIRS`` pairs
+  builds two fresh worlds and surveys the whole hitlist from each VP
+  on both, validation on in one and off in the other, back to back,
+  alternating which side goes first; the pair's ratio is its on
+  seconds over its off seconds. The overhead is the median ratio: a
+  VP's survey takes ~15 ms on ``tiny``, far less than the shared
+  box's speed swings last, so they cancel within a pair.
 
 Run it directly (no pytest harness)::
 
@@ -41,8 +50,10 @@ Run it directly (no pytest harness)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -65,6 +76,7 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 
 QUICK_VPS = 6
 QUICK_TARGETS = 60
+VALIDATION_PAIRS = 16
 
 
 def _fresh(preset: str, seed: int) -> Scenario:
@@ -107,6 +119,47 @@ def _run_campaign(
     start = time.perf_counter()
     result = runner.run(targets=targets, vps=vps)
     return time.perf_counter() - start, result
+
+
+def _validation_tax(preset: str, seed: int, out_dir: Path):
+    """Clean whole-hitlist surveys with reply validation on and off
+    (see the module docstring): the median on/off ratio of the pairs
+    minus one, each side's median seconds per pair, and whether the
+    two sides' survey bytes are equal."""
+    # Untimed: one whole survey each way warms up and checks parity.
+    on_bytes = _survey_bytes(
+        run_rr_survey(_fresh(preset, seed)), "val", out_dir
+    )
+    off_bytes = _survey_bytes(
+        run_rr_survey(_fresh(preset, seed), validate=False), "noval",
+        out_dir,
+    )
+    seconds = {True: [], False: []}
+    for pair in range(VALIDATION_PAIRS):
+        worlds = {True: _fresh(preset, seed), False: _fresh(preset, seed)}
+        vps = {validate: list(world.vps) for validate, world in worlds.items()}
+        gc.collect()  # earlier worlds' garbage is not this pair's
+        spent = {True: 0.0, False: 0.0}
+        for index in range(len(vps[True])):
+            first = (pair + index) % 2 == 0
+            for validate in (first, not first):
+                start = time.perf_counter()
+                run_rr_survey(
+                    worlds[validate], vps=[vps[validate][index]],
+                    validate=validate,
+                )
+                spent[validate] += time.perf_counter() - start
+        for validate, secs in spent.items():
+            seconds[validate].append(secs)
+    overhead = statistics.median(
+        on / off for on, off in zip(seconds[True], seconds[False])
+    ) - 1.0
+    return (
+        overhead,
+        statistics.median(seconds[True]),
+        statistics.median(seconds[False]),
+        on_bytes == off_bytes,
+    )
 
 
 def _fault_counts() -> Dict[str, float]:
@@ -160,34 +213,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           flush=True)
 
     # Validation tax: the reply-validation pipeline on a clean path
-    # must cost < 5% and change zero bytes. Fresh world per run (the
-    # forward-path cache would otherwise flatter whichever side runs
-    # second); best-of-two on both sides because at --quick scale
-    # scheduler jitter rivals the effect being measured.
-    def _clean_survey(validate: bool):
-        world = _fresh(args.preset, args.seed)
-        world_targets, world_vps = _subset(world, args.quick)
-        start = time.perf_counter()
-        survey = run_rr_survey(
-            world, dests=world_targets, vps=world_vps,
-            validate=validate,
-        )
-        return time.perf_counter() - start, survey
-
-    t_on2, _ = _clean_survey(True)
-    t_on = min(timings["rr_unfaulted"], t_on2)
-    t_off1, novalidate_survey = _clean_survey(False)
-    t_off2, _ = _clean_survey(False)
-    t_off = min(t_off1, t_off2)
-    timings["rr_novalidate"] = t_off
-    validation_overhead = t_on / t_off - 1.0 if t_off else 0.0
-    validation_parity = (
-        _survey_bytes(novalidate_survey, "noval", out_dir) == base_bytes
+    # must cost < 5% and change zero bytes.
+    validation_overhead, t_on, t_off, validation_parity = _validation_tax(
+        args.preset, args.seed, out_dir
     )
+    timings["rr_validate"] = t_on
+    timings["rr_novalidate"] = t_off
     validation_ok = validation_parity and validation_overhead < 0.05
     print(
-        f"  validation off        : {t_off:.3f}s "
-        f"(overhead {validation_overhead:+.1%}, target <5%; "
+        f"  validation on / off   : {t_on:.3f}s / {t_off:.3f}s "
+        f"(whole hitlist, medians of {VALIDATION_PAIRS} pairs; overhead "
+        f"{validation_overhead:+.1%}, target <5%; "
         f"parity {'ok' if validation_parity else 'MISMATCH'})",
         flush=True,
     )

@@ -12,8 +12,8 @@ Commands:
 * ``stats`` — run a study, then print the process-wide metrics
   registry (dataplane counters by drop cause, rate-limiter decisions
   by router class, per-probe-type counters, fault-injection and
-  campaign-resilience counters, phase timings) as a table, Prometheus
-  text, or JSONL;
+  campaign-resilience counters, the study and routing caches) as a
+  table, Prometheus text, or JSONL;
 * ``chaos`` — run the RR campaign under a named fault plan with the
   resilient (retrying, checkpointing, resumable) campaign driver and
   print its manifest; ``--supervise`` adds the watchdog/quarantine
@@ -485,8 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataplane", action="store_true",
         help="append the batched-dataplane section (stamp-plan cache "
              "hits/misses/evictions, compiles, invalidations, replays, "
-             "forward-path cache counters, replay and validation "
-             "seconds)",
+             "replay and validation seconds)",
     )
     stats.add_argument(
         "--health", action="store_true",
@@ -951,17 +950,13 @@ def _render_dataplane_section(snapshot: dict) -> str:
     """The ``--dataplane`` section: the batched engine's cache story.
 
     Reads the stamp-plan cache counters (lookups by result, evictions,
-    compiles, invalidations, replays) plus the forward-path cache they
-    sit beside, so one glance answers "did probes replay compiled
-    plans, and how often did invalidation throw work away?". Then the
-    wall seconds of the per-batch stages (``dataplane_seconds_total``),
-    pool workers' included.
+    compiles, invalidations, replays), so one glance answers "did
+    probes replay compiled plans, and how often did invalidation throw
+    work away?". Then the wall seconds of the per-batch stages
+    (``dataplane_seconds_total``), pool workers' included.
     """
     plan_lookups = _sum_series(
         snapshot, "plan_cache_lookups_total", by="result"
-    )
-    path_lookups = _sum_series(
-        snapshot, "path_cache_lookups_total", by="result"
     )
     lines = ["batched dataplane (stamp plans)"]
     lines.append(f"  {'hits':<22} {plan_lookups.get('hit', 0):>10}")
@@ -981,13 +976,6 @@ def _render_dataplane_section(snapshot: dict) -> str:
     lines.append(
         f"  {'plan_replays_total':<22} "
         f"{_sum_series(snapshot, 'plan_replays_total').get('', 0):>10}"
-    )
-    lines.append("forward-path cache")
-    lines.append(f"  {'hits':<22} {path_lookups.get('hit', 0):>10}")
-    lines.append(f"  {'misses':<22} {path_lookups.get('miss', 0):>10}")
-    lines.append(
-        f"  {'invalidations':<22} "
-        f"{_sum_series(snapshot, 'path_cache_invalidations_total').get('', 0):>10}"
     )
     seconds = _sum_series(snapshot, "dataplane_seconds_total", by="stage")
     lines.append("stage seconds")
@@ -1176,34 +1164,11 @@ def _render_stats_table(snapshot: dict) -> str:
         lines.append(f"  {'retry_rounds':<18} {retries:>8}")
         lines.append(f"  {'resumed_vps':<18} {resumed:>8}")
 
-    phases = snapshot.get("phase_seconds")
-    if phases and phases["series"]:
-        lines.append("phase timings (wall clock)")
-        for series in phases["series"]:
-            phase = series["labels"].get("phase", "?")
-            count = series["count"]
-            mean = series["sum"] / count if count else 0.0
-            lines.append(
-                f"  {phase:<16} runs={count:<6} total={series['sum']:.3f}s "
-                f"mean={mean:.3f}s"
-            )
-
     cache = _sum_series(snapshot, "study_cache_lookups_total", by="result")
     if cache:
         lines.append("study cache")
         for result in sorted(cache):
             lines.append(f"  {result:<8} {cache[result]}")
-
-    paths = _sum_series(snapshot, "path_cache_lookups_total", by="result")
-    if paths:
-        lines.append("forward-path cache")
-        hits = paths.get("hit", 0)
-        misses = paths.get("miss", 0)
-        total = hits + misses
-        rate = f"{hits / total:.1%}" if total else "-"
-        lines.append(f"  {'hit':<8} {hits:>10}")
-        lines.append(f"  {'miss':<8} {misses:>10}")
-        lines.append(f"  {'hit_rate':<8} {rate:>10}")
 
     resolved = _sum_series(snapshot, "routing_routes_resolved_total")
     trees = _sum_series(

@@ -22,7 +22,6 @@ from repro.core.survey import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.obs.spans import TRACER
-from repro.obs.timing import timed
 from repro.scenarios.internet import Scenario
 from repro.scenarios.presets import get_preset
 
@@ -73,15 +72,14 @@ def run_full_study(scenario: Scenario, jobs: int = 1) -> StudyData:
     """
     targets = list(scenario.hitlist)
     vps = list(scenario.vps)
-    with timed("full_study"):
-        with TRACER.span(
-            "full_study", clock=scenario.network.clock,
-            vps=len(vps), targets=len(targets), jobs=jobs or 1,
-        ):
-            ping_survey, rr_survey = run_parts(scenario, jobs, [
-                ping_part(scenario, targets),
-                rr_part(scenario, targets, vps),
-            ])
+    with TRACER.span(
+        "full_study", clock=scenario.network.clock,
+        vps=len(vps), targets=len(targets), jobs=jobs or 1,
+    ):
+        ping_survey, rr_survey = run_parts(scenario, jobs, [
+            ping_part(scenario, targets),
+            rr_part(scenario, targets, vps),
+        ])
     return StudyData(
         scenario=scenario, ping_survey=ping_survey, rr_survey=rr_survey
     )
@@ -121,7 +119,11 @@ def run_resilient_study(
         kill_after_vps=kill_after_vps,
         supervision=supervision,
     )
-    with timed("full_study"):
+    with TRACER.span(
+        "full_study", clock=scenario.network.clock,
+        vps=len(scenario.vps), targets=len(scenario.hitlist),
+        jobs=jobs or 1,
+    ):
         result = runner.run(resume=resume)
         ping_survey = run_ping_survey(scenario, jobs=jobs)
     data = StudyData(

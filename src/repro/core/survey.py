@@ -47,7 +47,6 @@ from repro.probing.artifacts import (
     verify_embedded_checksum,
 )
 from repro.obs.spans import TRACER
-from repro.obs.timing import timed
 from repro.probing.prober import DEFAULT_PPS
 from repro.probing.scheduler import (
     ProbeOrder,
@@ -243,6 +242,8 @@ def save_survey(survey: RRSurvey, path: Union[str, Path]) -> None:
     file lands through the shared atomic write-rename helper, so a
     crashed save can never leave a torn artifact behind.
     """
+    # Responses are keyed by VP index; convert each index once.
+    keys = [str(vp_index) for vp_index in range(len(survey.vps))]
     record = {
         "version": 1,
         "rr_slots": survey.rr_slots,
@@ -266,7 +267,7 @@ def save_survey(survey: RRSurvey, path: Union[str, Path]) -> None:
             for dest in survey.dests
         ],
         "responses": [
-            {str(vp_index): slot for vp_index, slot in observed.items()}
+            {keys[vp_index]: slot for vp_index, slot in observed.items()}
             for observed in survey.responses
         ],
         "inprefix_addrs": [
@@ -424,101 +425,100 @@ def probe_vp_rr(
             "vp_probe", clock=network.clock,
             vp=vp.name, targets=len(targets),
         ):
-            with timed("rr_survey_vp"):
-                ordered = order_destinations(
-                    targets, order, seed=scenario.seed, salt=vp.name
+            ordered = order_destinations(
+                targets, order, seed=scenario.seed, salt=vp.name
+            )
+            # Identical walk either way: batching only changes how
+            # often the (possibly no-op) span context is entered.
+            step = (
+                PROBE_BATCH_SPAN
+                if TRACER.enabled
+                else max(len(ordered), 1)
+            )
+            for start in range(0, len(ordered), step):
+                chunk = ordered[start:start + step]
+                with TRACER.span(
+                    "probe_batch", clock=network.clock,
+                    batch=start // step, size=len(chunk),
+                ):
+                    # One dispatch per chunk: the prober replays
+                    # compiled stamp plans (or walks hop-by-hop on
+                    # the fallback paths) and hands back outcomes
+                    # with slot/in-prefix views precomputed.
+                    pairs.extend(scenario.prober.probe_batch_rows(
+                        vp, chunk, slots=slots, pps=pps,
+                        heartbeat=heartbeat,
+                    ))
+            if validate:
+                validator = ReplyValidator(
+                    vp.name, slots, position,
+                    network.registry, network.net_id,
                 )
-                # Identical walk either way: batching only changes how
-                # often the (possibly no-op) span context is entered.
-                step = (
-                    PROBE_BATCH_SPAN
-                    if TRACER.enabled
-                    else max(len(ordered), 1)
+                verdicts = validator.check_batch(pairs, round_no=0)
+                # The validator is fresh, so its count is this
+                # round's: a VP with no invalid reply skips the scan.
+                if validator.verdict_counts[INVALID]:
+                    for (dest, _outcome), (verdict, reason) in zip(
+                        pairs, verdicts
+                    ):
+                        if verdict == INVALID:
+                            invalid[dest.addr] = (dest, reason)
+                # Retry rounds: re-probe only the invalid
+                # destinations, in probe order. A non-sticky
+                # misbehavior re-rolls per round, so a retry can
+                # come back clean and reclaim its row.
+                for round_no in range(1, RR_INVALID_RETRIES + 1):
+                    if not invalid:
+                        break
+                    retry = scenario.prober.probe_batch_rows(
+                        vp,
+                        [dest for dest, _ in invalid.values()],
+                        slots=slots, pps=pps, heartbeat=heartbeat,
+                        round_no=round_no,
+                    )
+                    retry_verdicts = validator.check_batch(
+                        retry, round_no=round_no
+                    )
+                    still: Dict[int, Tuple[Destination, str]] = {}
+                    for (dest, outcome), (verdict, reason) in zip(
+                        retry, retry_verdicts
+                    ):
+                        if verdict == INVALID:
+                            still[dest.addr] = (dest, reason)
+                        else:
+                            replaced[dest.addr] = outcome
+                    invalid = still
+                quality = validator.summary()
+                # Degradation: destinations whose RR replies never
+                # validated fall back to one plain ping — still a
+                # liveness datapoint, recorded with its reason but
+                # never a survey row.
+                degraded_family = rr_degradation_counter(
+                    network.registry
                 )
-                for start in range(0, len(ordered), step):
-                    chunk = ordered[start:start + step]
-                    with TRACER.span(
-                        "probe_batch", clock=network.clock,
-                        batch=start // step, size=len(chunk),
-                    ):
-                        # One dispatch per chunk: the prober replays
-                        # compiled stamp plans (or walks hop-by-hop on
-                        # the fallback paths) and hands back outcomes
-                        # with slot/in-prefix views precomputed.
-                        pairs.extend(scenario.prober.probe_batch_rows(
-                            vp, chunk, slots=slots, pps=pps,
-                            heartbeat=heartbeat,
-                        ))
-                if validate:
-                    validator = ReplyValidator(
-                        vp.name, slots, position,
-                        network.registry, network.net_id,
-                    )
-                    verdicts = validator.check_batch(pairs, round_no=0)
-                    # The validator is fresh, so its count is this
-                    # round's: a VP with no invalid reply skips the scan.
-                    if validator.verdict_counts[INVALID]:
-                        for (dest, _outcome), (verdict, reason) in zip(
-                            pairs, verdicts
-                        ):
-                            if verdict == INVALID:
-                                invalid[dest.addr] = (dest, reason)
-                    # Retry rounds: re-probe only the invalid
-                    # destinations, in probe order. A non-sticky
-                    # misbehavior re-rolls per round, so a retry can
-                    # come back clean and reclaim its row.
-                    for round_no in range(1, RR_INVALID_RETRIES + 1):
-                        if not invalid:
-                            break
-                        retry = scenario.prober.probe_batch_rows(
-                            vp,
-                            [dest for dest, _ in invalid.values()],
-                            slots=slots, pps=pps, heartbeat=heartbeat,
-                            round_no=round_no,
-                        )
-                        retry_verdicts = validator.check_batch(
-                            retry, round_no=round_no
-                        )
-                        still: Dict[int, Tuple[Destination, str]] = {}
-                        for (dest, outcome), (verdict, reason) in zip(
-                            retry, retry_verdicts
-                        ):
-                            if verdict == INVALID:
-                                still[dest.addr] = (dest, reason)
-                            else:
-                                replaced[dest.addr] = outcome
-                        invalid = still
-                    quality = validator.summary()
-                    # Degradation: destinations whose RR replies never
-                    # validated fall back to one plain ping — still a
-                    # liveness datapoint, recorded with its reason but
-                    # never a survey row.
-                    degraded_family = rr_degradation_counter(
-                        network.registry
-                    )
-                    # No batch when nothing degrades: an empty one would
-                    # still register the ping metrics.
-                    pings = scenario.prober.probe_batch_ping(
-                        vp, [dest for dest, _ in invalid.values()],
-                        count=1, pps=pps, heartbeat=heartbeat,
-                    ) if invalid else []
-                    for (dest, reason), result in zip(
-                        invalid.values(), pings
-                    ):
-                        quality["degraded"].append({
-                            "vp": vp.name,
-                            "dest": dest.addr,
-                            "dest_index": position[dest.addr],
-                            "reason": reason,
-                            "rounds": RR_INVALID_RETRIES + 1,
-                            "ping_responded": result.responded,
-                        })
-                        degraded_family.labels(
-                            network.net_id, reason
-                        ).inc()
-                    quality["degraded"].sort(
-                        key=lambda r: r["dest_index"]
-                    )
+                # No batch when nothing degrades: an empty one would
+                # still register the ping metrics.
+                pings = scenario.prober.probe_batch_ping(
+                    vp, [dest for dest, _ in invalid.values()],
+                    count=1, pps=pps, heartbeat=heartbeat,
+                ) if invalid else []
+                for (dest, reason), result in zip(
+                    invalid.values(), pings
+                ):
+                    quality["degraded"].append({
+                        "vp": vp.name,
+                        "dest": dest.addr,
+                        "dest_index": position[dest.addr],
+                        "reason": reason,
+                        "rounds": RR_INVALID_RETRIES + 1,
+                        "ping_responded": result.responded,
+                    })
+                    degraded_family.labels(
+                        network.net_id, reason
+                    ).inc()
+                quality["degraded"].sort(
+                    key=lambda r: r["dest_index"]
+                )
     finally:
         network.end_vp_session()
     if invalid or replaced:
@@ -786,8 +786,7 @@ def run_ping_survey(
         "ping_survey", clock=scenario.network.clock,
         targets=len(targets), jobs=jobs or 1,
     ):
-        with timed("ping_survey"):
-            (survey,) = run_parts(scenario, jobs, [part])
+        (survey,) = run_parts(scenario, jobs, [part])
     return survey
 
 
@@ -831,6 +830,5 @@ def run_rr_survey(
         "rr_survey", clock=scenario.network.clock,
         vps=len(vp_list), targets=len(targets), jobs=jobs or 1,
     ):
-        with timed("rr_survey"):
-            (survey,) = run_parts(scenario, jobs, [part])
+        (survey,) = run_parts(scenario, jobs, [part])
     return survey

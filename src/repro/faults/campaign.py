@@ -293,13 +293,11 @@ class CampaignRunner:
         slots: int = 9,
         max_retries: int = 3,
         backoff_base: float = 0.5,
-        backoff_factor: float = 2.0,
         budget_seconds: Optional[float] = None,
         checkpoint_path: Optional[Union[str, Path]] = None,
         kill_after_vps: Optional[int] = None,
         supervision: Optional[SupervisionConfig] = None,
         status_path: Optional[Union[str, Path]] = None,
-        status_interval: float = 0.2,
         quarantine_path: Optional[Union[str, Path]] = None,
     ) -> None:
         if max_retries < 0:
@@ -314,7 +312,6 @@ class CampaignRunner:
         self.slots = int(slots)
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
         self.budget_seconds = budget_seconds
         self.checkpoint_path = (
             None if checkpoint_path is None else Path(checkpoint_path)
@@ -324,7 +321,6 @@ class CampaignRunner:
         self.status_path = (
             None if status_path is None else Path(status_path)
         )
-        self.status_interval = float(status_interval)
         self.quarantine_path = (
             None if quarantine_path is None else Path(quarantine_path)
         )
@@ -503,9 +499,7 @@ class CampaignRunner:
         status = (
             None
             if self.status_path is None
-            else CampaignStatusWriter(
-                self.status_path, min_interval=self.status_interval
-            )
+            else CampaignStatusWriter(self.status_path)
         )
 
         def publish(
@@ -575,14 +569,12 @@ class CampaignRunner:
                 if round_index > self.max_retries:
                     break
                 if round_index > 0:
-                    # Exponential backoff, charged in simulated
-                    # seconds — the scenario clock is free, so we
-                    # account rather than sleep. The budget is checked
-                    # *before* the round commits: a retry that would
-                    # blow it never starts.
-                    backoff = self.backoff_base * (
-                        self.backoff_factor ** (round_index - 1)
-                    )
+                    # Exponential backoff (doubling per round),
+                    # charged in simulated seconds — the scenario
+                    # clock is free, so we account rather than sleep.
+                    # The budget is checked *before* the round
+                    # commits: a retry that would blow it never starts.
+                    backoff = self.backoff_base * 2.0 ** (round_index - 1)
                     if (
                         self.budget_seconds is not None
                         and (time.monotonic() - start)

@@ -1,4 +1,4 @@
-"""Observability: metrics registry, spans, packet tracing, phase timing.
+"""Observability: metrics registry, spans, packet tracing, exporters.
 
 The measurement platform measuring itself. See DESIGN.md §"Observability"
 for how the dataplane, rate limiters, prober, and campaign layers
@@ -26,7 +26,6 @@ from repro.obs.spans import (
     get_tracer,
 )
 from repro.obs.journal import DEFAULT_JOURNAL_CAPACITY, FlightRecorder
-from repro.obs.timing import timed
 from repro.obs.trace import DEFAULT_TRACE_CAPACITY, PacketTracer, TraceEvent
 from repro.obs.export import (
     load_trace_jsonl,
@@ -67,7 +66,6 @@ __all__ = [
     "PacketTracer",
     "TraceEvent",
     "DEFAULT_TRACE_CAPACITY",
-    "timed",
     "to_jsonl",
     "to_prometheus",
     "write_jsonl",

@@ -765,14 +765,8 @@ class Prober:
         # Each replayed probe would have drawn one (ident, seq) pair.
         self._ident = (self._ident + n) & 0xFFFF
         self._seq = (self._seq + n) & 0xFFFF
-        hits = n - misses
-        network._plan_hits.inc(hits)
+        network._plan_hits.inc(n - misses)
         network._plan_misses.inc(misses)
-        # A plan-cache hit skipped the _forward_path call the legacy
-        # walk performs per probe; fold the hits it would have counted
-        # (compiles run _forward_path themselves, covering the misses).
-        if hits:
-            network._path_hits.inc(hits)
         network._plan_replays.inc(n)
         if losses:
             network._mx.dropped_loss.inc(losses)

@@ -86,8 +86,8 @@ def mid(seed: int = 2016) -> Scenario:
     are deliberately AS-concentrated (many sites behind few upstream
     ASes, the real M-Lab/PlanetLab deployment shape [§2.2]): all the
     VPs of one ingress AS share forward paths, which is exactly the
-    redundancy both the forward-path cache and the stamp-plan compiler
-    exist to exploit.
+    redundancy both the trunk cache and the stamp-plan compiler exist
+    to exploit.
     """
     return build_scenario(
         ScenarioParams(

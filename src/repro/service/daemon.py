@@ -77,6 +77,10 @@ __all__ = [
 
 CHECKPOINT_KIND = "service_checkpoint"
 
+#: Seconds an idle daemon under a control socket sleeps before it
+#: looks for new submissions again.
+_POLL_SECONDS = 0.1
+
 
 class ServiceInterrupted(RuntimeError):
     """The daemon was killed mid-run (``kill_after_units`` test hook or
@@ -104,9 +108,7 @@ class ServiceConfig:
     quota_overrides: Dict[str, TenantQuota] = field(default_factory=dict)
     checkpoint_path: Optional[Union[str, Path]] = None
     status_path: Optional[Union[str, Path]] = None
-    status_interval: float = 0.2
     control_path: Optional[Union[str, Path]] = None
-    poll_interval: float = 0.1
     max_rounds: Optional[int] = None
     kill_after_units: Optional[int] = None
     supervision: Optional[SupervisionConfig] = None
@@ -441,9 +443,7 @@ class MeasurementDaemon:
         self._started = time.monotonic()
         self._units_this_run = 0
         self._status = (
-            CampaignStatusWriter(
-                config.status_path, config.status_interval
-            )
+            CampaignStatusWriter(config.status_path)
             if config.status_path is not None
             else None
         )
@@ -478,7 +478,7 @@ class MeasurementDaemon:
                 if not has_work:
                     if control is None:
                         break
-                    time.sleep(config.poll_interval)
+                    time.sleep(_POLL_SECONDS)
                     continue
                 with self._lock:
                     accrued = self.ledger.accrue_round()
@@ -511,7 +511,7 @@ class MeasurementDaemon:
                         if control is None:
                             break
                     if control is not None:
-                        time.sleep(config.poll_interval)
+                        time.sleep(_POLL_SECONDS)
                     continue
                 # Probing runs outside the lock: control-socket
                 # submissions land concurrently and join next round.

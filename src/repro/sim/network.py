@@ -200,9 +200,6 @@ _ARRIVED = 0
 _DROPPED = 1
 _ERROR = 2
 
-#: Sentinel distinguishing "not cached" from a cached None (no route).
-_PATH_MISS = object()
-
 
 class Network:
     """The simulated Internet's dataplane."""
@@ -251,31 +248,10 @@ class Network:
         self._alias_owner: Dict[int, SimHost] = {}
         self._trunks: Dict[Tuple[int, int], Optional[Tuple[Hop, ...]]] = {}
         self._tails: Dict[int, Tuple[Hop, ...]] = {}
-        #: Forward-path cache: (ingress AS, destination prefix base) ->
-        #: the fully expanded router-level segment tuple (or None for
-        #: "no route"), so the per-probe hop walk starts from a cached
-        #: router list instead of re-running valley-free expansion.
-        self._fwd_paths: Dict[
-            Tuple[int, int], Optional[Tuple[Tuple[Hop, ...], ...]]
-        ] = {}
-        path_lookups = self.registry.counter(
-            "path_cache_lookups_total",
-            "Forward-path cache lookups (router-level expansion), "
-            "by result.",
-            ("net", "result"),
-        )
-        self._path_hits = path_lookups.labels(self.net_id, "hit")
-        self._path_misses = path_lookups.labels(self.net_id, "miss")
-        self._path_invalidations = self.registry.counter(
-            "path_cache_invalidations_total",
-            "Explicit forward-path cache invalidations "
-            "(topology mutation).",
-            ("net",),
-        ).labels(self.net_id)
         #: Stamp-plan cache: (ingress AS, destination address) -> the
         #: compiled :class:`RoundTripPlan` the batch replay engine
         #: executes instead of the per-hop walk. A bounded LRU beside
-        #: ``_fwd_paths``, invalidated whenever that cache is.
+        #: ``_trunks`` and ``_tails``, invalidated whenever they are.
         self._plans: "OrderedDict[Tuple[int, int], RoundTripPlan]" = (
             OrderedDict()
         )
@@ -588,33 +564,19 @@ class Network:
     def _forward_path(
         self, src_asn: int, dest: Destination
     ) -> Optional[Tuple[Tuple[Hop, ...], ...]]:
-        """The full router-level forward path, memoised.
+        """The router-level forward path: the AS trunk, then the
+        destination prefix's access tail, or ``None`` (no route).
 
-        Keyed on (ingress AS, destination prefix): every probe from any
-        VP attached to ``src_asn`` toward any address inside the
-        destination's prefix walks the same trunk + access tail, so the
-        expansion (AS-path lookup, trunk expansion, tail expansion) is
-        done once and the per-probe cost collapses to one dict hit.
-        ``None`` ("no route") is cached too — unroutable prefixes are
-        re-asked constantly by surveys.
+        Both halves come from their own caches (``None`` is cached as
+        a trunk too), so the pair holds the very tuples that
+        ``_seg_plans`` keys by identity.
         """
-        key = (src_asn, dest.prefix.base)
-        cached = self._fwd_paths.get(key, _PATH_MISS)
-        if cached is not _PATH_MISS:
-            self._path_hits.inc()
-            return cached
-        self._path_misses.inc()
         trunk = self._trunk(src_asn, dest.asn)
-        segments = (
-            None if trunk is None else (trunk, self._tail(dest))
-        )
-        self._fwd_paths[key] = segments
-        return segments
+        return None if trunk is None else (trunk, self._tail(dest))
 
     def clear_caches(self) -> None:
         self._trunks.clear()
         self._tails.clear()
-        self._fwd_paths.clear()
         self._drop_plans()
         self._seg_plans.clear()
         self._access_tails.clear()
@@ -624,12 +586,11 @@ class Network:
         """Explicitly invalidate every route-derived cache.
 
         Call after mutating the AS graph (adding/removing links,
-        re-homing prefixes): drops the forward-path cache, the
-        compiled stamp plans, the trunk/tail expansions, and the
-        routing system's cached trees so the next packet re-derives
-        its path from the mutated topology.
+        re-homing prefixes): drops the compiled stamp plans, the
+        trunk/tail expansions, and the routing system's cached routes
+        so the next packet re-derives its path from the mutated
+        topology.
         """
-        self._path_invalidations.inc()
         self.clear_caches()
         self.routing.clear_cache()
 
@@ -641,9 +602,8 @@ class Network:
         """The compiled round-trip plan for (ingress AS, destination).
 
         Returns ``(plan, hit)``; ``hit`` tells the caller whether this
-        lookup rode the cache (a compile runs ``_forward_path`` itself,
-        accounting for the triggering probe's lookup). The replay loops
-        inline the hit path and call :meth:`_plan_miss` directly.
+        lookup rode the cache. The replay loops inline the hit path and
+        call :meth:`_plan_miss` directly.
         """
         key = (src_asn, dest.addr)
         plan = self._plans.get(key)
@@ -676,9 +636,7 @@ class Network:
         """Compile the invariant round-trip structure for one flow.
 
         Pure policy/topology resolution — consumes no RNG draws, so
-        compilation order cannot perturb any stochastic stream. The
-        embedded ``_forward_path`` call counts the triggering probe's
-        cache lookup, exactly as the legacy walk would have.
+        compilation order cannot perturb any stochastic stream.
         """
         self._plan_compiles.inc()
         host = self.host_for(dest)
@@ -715,8 +673,8 @@ class Network:
         ``_access_tails``) and the map value pins the tuple, so an id
         can never be recycled while its entry exists. Policy changes
         clear this map (``set_as_options_filter`` / ``clear_caches``);
-        plain forward-path invalidation keeps it — segment facts
-        derive from policies and hop lists, not from route selection.
+        evicting a round-trip plan keeps it — segment facts derive
+        from policies and hop lists, not from route selection.
         """
         key = id(segment)
         entry = self._seg_plans.get(key)

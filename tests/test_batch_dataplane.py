@@ -695,7 +695,6 @@ class TestStatsCli:
         assert "batched dataplane (stamp plans)" in out
         assert "plan_replays_total" in out
         assert "plan_compiles_total" in out
-        assert "forward-path cache" in out
         assert "stage seconds" in out
         for stage in ("replay", "validate"):
             line = next(

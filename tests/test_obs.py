@@ -1,4 +1,4 @@
-"""Tests for repro.obs: registry, tracer, timers, exporters."""
+"""Tests for repro.obs: registry, tracer, exporters."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.export import to_jsonl, to_prometheus, write_jsonl
 from repro.obs.metrics import MetricsRegistry, REGISTRY, get_registry
-from repro.obs.timing import PHASE_HISTOGRAM, timed
 from repro.obs.trace import PacketTracer
 
 
@@ -251,29 +250,6 @@ class TestTracer:
             tracer.emit("deliver", float(index))
         rendered = tracer.render(last=1)
         assert rendered.count("send") == 1
-
-
-class TestTimed:
-    def test_context_manager_records(self, registry):
-        with timed("phase-a", registry=registry) as timer:
-            pass
-        assert timer.last_seconds is not None and timer.last_seconds >= 0
-        hist = registry.histogram(
-            PHASE_HISTOGRAM, labelnames=("phase",)
-        ).labels(phase="phase-a")
-        assert hist.count == 1
-
-    def test_decorator_records_each_call(self, registry):
-        @timed("phase-b", registry=registry)
-        def work(value):
-            return value * 2
-
-        assert work(4) == 8
-        assert work(5) == 10
-        hist = registry.histogram(
-            PHASE_HISTOGRAM, labelnames=("phase",)
-        ).labels(phase="phase-b")
-        assert hist.count == 2
 
 
 class TestExporters:

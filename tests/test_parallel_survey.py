@@ -245,27 +245,29 @@ class TestPathCacheInvalidation:
         network = scenario.network
         vp = scenario.working_vps[0]
         dest = list(scenario.hitlist)[0]
-        assert not network._fwd_paths
+        assert not network._trunks
         scenario.prober.ping_rr(vp, dest.addr)
-        assert network._fwd_paths  # at least (vp AS, dest prefix)
+        assert (vp.asn, dest.asn) in network._trunks
 
     def test_invalidate_routes_clears_everything(self, mutable_scenario):
         scenario = mutable_scenario
         network = scenario.network
         vp = scenario.working_vps[0]
-        for dest in list(scenario.hitlist)[:5]:
+        dests = list(scenario.hitlist)[:5]
+        for dest in dests:
             scenario.prober.ping_rr(vp, dest.addr)
-        assert network._fwd_paths
+        scenario.prober.probe_batch_rows(vp, dests)
+        assert network._trunks
+        assert network._tails
+        assert network._plans
         assert scenario.routing.cache_len > 0
-        before = network._path_invalidations.value
 
         network.invalidate_routes()
 
-        assert network._fwd_paths == {}
         assert network._trunks == {}
         assert network._tails == {}
+        assert len(network._plans) == 0
         assert scenario.routing.cache_len == 0
-        assert network._path_invalidations.value == before + 1
 
     def test_topology_mutation_takes_effect(self, mutable_scenario):
         """After add_peering + invalidate_routes the dataplane routes
@@ -286,6 +288,7 @@ class TestPathCacheInvalidation:
         assert chosen is not None, "tiny world has no long path to test"
         old_path = routing.as_path(vp.asn, chosen.asn)
         scenario.prober.ping_rr(vp, chosen.addr)  # warm the caches
+        old_trunk = network._trunks[(vp.asn, chosen.asn)]
 
         scenario.graph.add_peering(vp.asn, chosen.asn)
         network.invalidate_routes()
@@ -293,26 +296,29 @@ class TestPathCacheInvalidation:
         new_path = routing.as_path(vp.asn, chosen.asn)
         assert new_path != old_path
         assert new_path == [vp.asn, chosen.asn]
-        # The dataplane rebuilds its forward path from the new route.
-        misses_before = network._path_misses.value
+        # The dataplane rebuilds its trunk from the new route.
+        assert (vp.asn, chosen.asn) not in network._trunks
         scenario.prober.ping_rr(vp, chosen.addr)
-        assert network._path_misses.value == misses_before + 1
-        cached = network._fwd_paths[(vp.asn, chosen.prefix.base)]
-        assert cached is not None
+        new_trunk = network._trunks[(vp.asn, chosen.asn)]
+        assert new_trunk is not None
+        assert new_trunk != old_trunk
+        assert {hop.router.asn for hop in new_trunk} == {vp.asn, chosen.asn}
 
     def test_cache_counters_track_lookups(self, mutable_scenario):
+        """A flow's first batched probe compiles its plan (a miss); the
+        next one replays it (a hit)."""
         scenario = mutable_scenario
         network = scenario.network
         vp = scenario.working_vps[0]
         dest = list(scenario.hitlist)[1]
-        hits0 = network._path_hits.value
-        misses0 = network._path_misses.value
-        scenario.prober.ping_rr(vp, dest.addr)
-        assert network._path_misses.value > misses0
-        misses1 = network._path_misses.value
-        scenario.prober.ping_rr(vp, dest.addr)
-        assert network._path_misses.value == misses1
-        assert network._path_hits.value > hits0
+        hits0 = network._plan_hits.value
+        misses0 = network._plan_misses.value
+        scenario.prober.probe_batch_rows(vp, [dest])
+        assert network._plan_misses.value == misses0 + 1
+        assert network._plan_hits.value == hits0
+        scenario.prober.probe_batch_rows(vp, [dest])
+        assert network._plan_misses.value == misses0 + 1
+        assert network._plan_hits.value == hits0 + 1
 
 
 class TestProberMetricsCache:

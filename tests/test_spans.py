@@ -24,6 +24,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.study import run_resilient_study
 from repro.core.survey import run_rr_survey, save_survey
 from repro.faults import (
     CampaignRunner,
@@ -407,6 +408,17 @@ class TestTracedCampaign:
         tree = render_span_tree(spans)
         assert tree.splitlines()[0].startswith("campaign")
         assert "    vp_attempt" in tree
+
+    def test_resilient_study_span_tree(self, tracing):
+        """A resilient study is one ``full_study`` span, like
+        ``run_full_study``'s, over its campaign and its ping survey."""
+        run_resilient_study(get_preset("tiny", 7))
+        spans = TRACER.snapshot()
+        (study,) = [s for s in spans if s["name"] == "full_study"]
+        assert study["parent"] is None
+        for name in ("campaign", "ping_survey"):
+            (span,) = [s for s in spans if s["name"] == name]
+            assert span["parent"] == study["id"], name
 
     def test_chrome_trace_nests_per_track(
         self, world, targets, vp_list, tracing
