@@ -401,7 +401,8 @@ class FaultInjector:
         ``vp_name``'s replies: ``can_taint(outcome)``, draw-free, says
         whether ``taint(dest, outcome)`` applies to it at all. The
         transform's per-reply draws hash under prefixes resolved here,
-        once per batch."""
+        once per batch, and run inline (``stable_u64`` without its call
+        frames, see :class:`~repro.rng.StablePrefix`)."""
         if isinstance(spec, ZombieVp):
             # Zombie VPs answer *unconditionally* — even destinations
             # that never replied get the canned stale measurement: its
@@ -421,13 +422,17 @@ class FaultInjector:
                 counters=outcome.counters,
                 load=outcome.load,
             )
+        from_bytes = int.from_bytes
         if isinstance(spec, StampCorruption):
-            garbage = StablePrefix(seed, "addr", vp_name).u64
+            garbage = StablePrefix(seed, "addr", vp_name).copy
 
             def corrupt(dest, outcome: Outcome) -> Outcome:
+                key = ("%r\x1f" % (dest.addr,)).encode()
                 rr = []
                 for i in range(len(outcome.rr)):
-                    addr = garbage(dest.addr, i) & 0xFFFFFFFF
+                    hasher = garbage()
+                    hasher.update(key + b"%d\x1f" % i)
+                    addr = from_bytes(hasher.digest(), "big") & 0xFFFFFFFF
                     if addr == dest.addr:
                         addr ^= 1
                     rr.append(addr)
@@ -456,7 +461,7 @@ class FaultInjector:
                 load=outcome.load,
             )
         if isinstance(spec, TruncatedOption):
-            mangle = StablePrefix(seed, "mangle", vp_name).u64
+            mangle = StablePrefix(seed, "mangle", vp_name).copy
 
             def truncate(dest, outcome: Outcome) -> Outcome:
                 wire = bytearray(
@@ -464,7 +469,9 @@ class FaultInjector:
                         slots=slots, recorded=list(outcome.rr)
                     ).to_bytes()
                 )
-                mode = mangle(dest.addr) % 3
+                hasher = mangle()
+                hasher.update(("%r\x1f" % (dest.addr,)).encode())
+                mode = from_bytes(hasher.digest(), "big") % 3
                 if mode == 0:
                     wire = wire[:2]  # shorter than the 3-byte header
                 elif mode == 1:
@@ -485,10 +492,12 @@ class FaultInjector:
 
             return _rr_reply, truncate
         if isinstance(spec, SpoofedReply):
-            source = StablePrefix(seed, "src", vp_name).u64
+            source = StablePrefix(seed, "src", vp_name).copy
 
             def spoof(dest, outcome: Outcome) -> Outcome:
-                src = source(dest.addr) & 0xFFFFFFFF
+                hasher = source()
+                hasher.update(("%r\x1f" % (dest.addr,)).encode())
+                src = from_bytes(hasher.digest(), "big") & 0xFFFFFFFF
                 if src == dest.addr:
                     src ^= 1
                 return Outcome(

@@ -81,6 +81,9 @@ __all__ = [
     "MISBEHAVIOR_KINDS",
 ]
 
+#: ``stable_uniform``'s divisor: a draw's 64-bit integer over it.
+_SPAN = 1 << 64
+
 
 def _require_unit(name: str, value: float, allow_zero: bool = True) -> None:
     low_ok = value >= 0 if allow_zero else value > 0
@@ -362,18 +365,37 @@ class _MisbehaviorSpec:
 
         The hit draw runs first when there is one: both are pure
         functions of the destination, and at the presets' sparse
-        probabilities it rejects most replies on its own.
+        probabilities it rejects most replies on its own. Each draw is
+        ``stable_uniform`` inlined (see :class:`StablePrefix`), so a
+        selection is one call frame.
         """
         start = self.start
         end = self.start + self.duration
-        when = StablePrefix(seed, "when", vp_name).uniform
+        when = StablePrefix(seed, "when", vp_name).copy
+        from_bytes = int.from_bytes
         if prob >= 1.0:
-            return lambda dest: start <= when(dest) < end
-        hit = StablePrefix(seed, "hit", vp_name).uniform
-        salt = 0 if self.sticky else round_no
-        return lambda dest: (
-            hit(dest, salt) < prob and start <= when(dest) < end
-        )
+
+            def select(dest: int) -> bool:
+                hasher = when()
+                hasher.update(("%r\x1f" % (dest,)).encode())
+                draw = from_bytes(hasher.digest(), "big") / _SPAN
+                return start <= draw < end
+
+            return select
+        hit = StablePrefix(seed, "hit", vp_name).copy
+        salt = ("%r\x1f" % (0 if self.sticky else round_no,)).encode()
+
+        def select(dest: int) -> bool:
+            key = ("%r\x1f" % (dest,)).encode()
+            hasher = hit()
+            hasher.update(key + salt)
+            if from_bytes(hasher.digest(), "big") / _SPAN >= prob:
+                return False
+            hasher = when()
+            hasher.update(key)
+            return start <= from_bytes(hasher.digest(), "big") / _SPAN < end
+
+        return select
 
 
 @dataclass(frozen=True)

@@ -57,30 +57,31 @@ class StablePrefix:
     blake2b is a streaming hash, so each draw copies the prefix's
     hasher state and feeds only the remaining parts. Worth it in loops
     that draw per destination under one (seed, label, VP) key.
+
+    A loop hot enough that the draw's own call frames show can inline
+    it through :attr:`copy`::
+
+        hasher = prefix.copy()
+        hasher.update(("%r\x1f" * len(parts) % parts).encode())
+        int.from_bytes(hasher.digest(), "big")  # == prefix.u64(*parts)
+
+    which feeds the parts exactly as :func:`_feed` does, whatever
+    their type.
     """
 
-    __slots__ = ("_hasher",)
+    __slots__ = ("_hasher", "copy")
 
     def __init__(self, *parts: object) -> None:
         self._hasher = hashlib.blake2b(digest_size=8)
         _feed(self._hasher, parts)
+        #: A fresh copy of the prefix's hasher state, to feed and
+        #: digest in place of a :meth:`u64` call.
+        self.copy = self._hasher.copy
 
     def u64(self, *parts: object) -> int:
         hasher = self._hasher.copy()
-        for part in parts:
-            if type(part) is not int:
-                _feed(hasher, parts)
-                break
-        else:
-            # An exact int formats under %d as its repr, so all-int
-            # parts go in one update. A bool or an int subclass may
-            # not (repr(True) is 'True'): those take _feed.
-            hasher.update(b"%d\x1f" * len(parts) % parts)
+        _feed(hasher, parts)
         return int.from_bytes(hasher.digest(), "big")
-
-    def uniform(self, *parts: object) -> float:
-        """``stable_uniform(*prefix, *parts)``."""
-        return self.u64(*parts) / (1 << 64)
 
 
 def stable_uniform(*parts: object) -> float:

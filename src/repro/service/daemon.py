@@ -9,10 +9,19 @@ tenants. Its run loop is round-based and deterministic end to end:
    pure state, no clocks;
 3. execute the batch on the executor
    (:class:`~repro.core.parallel.WorkerWatchdog`: in-process for
-   ``jobs=1``, persistent supervised pool for ``jobs>=2``);
+   ``jobs=1``, persistent supervised pool for ``jobs>=2``). Each unit
+   names its VP's ASN as its affinity group, and the round's units go
+   over sorted by target window ``(target_offset, target_count)`` and
+   keyed in that order. A round's units usually share one VP, so one
+   group: its owner then takes the low windows, oldest first, and a
+   thief the high ones, newest first, and each worker compiles the
+   stamp plans of its own end of the hitlist instead of all of them.
+   Keys in window order are also the order ``jobs=1`` runs the units
+   and a pool merges their telemetry and session clock time in, so
+   the parent's clock is bit-equal at every ``jobs``;
 4. fold outcomes **in plan order** (never completion order): charge
-   credits, append stream records, advance spec state, checkpoint,
-   publish status.
+   credits, append the stream line each unit body encoded, advance
+   spec state, checkpoint, publish status.
 
 Because unit *content* is deterministic per (scenario, seed, spec,
 unit index) and fold order is plan order, the per-tenant stream files
@@ -122,6 +131,32 @@ class ServiceConfig:
             )
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1: {self.max_rounds}")
+
+
+def _unit_tasks(plan: List[Tuple[SpecState, int]]) -> List[tuple]:
+    """One round's unit tasks, in plan order, keyed in target-window
+    order: by ``(target_offset, target_count)``, ties in plan order."""
+    windows = sorted(
+        range(len(plan)),
+        key=lambda index: (
+            plan[index][0].spec.target_offset,
+            plan[index][0].spec.target_count,
+        ),
+    )
+    keys = {index: key for key, index in enumerate(windows)}
+    return [
+        make_unit_task(
+            keys[index],
+            f"{state_spec.spec.label}#{unit_index}",
+            state_spec.vp_names[unit_index],
+            state_spec.spec.kind,
+            state_spec.spec.target_offset,
+            state_spec.spec.target_count,
+            state_spec.spec.slots,
+            state_spec.spec.pps,
+        )
+        for index, (state_spec, unit_index) in enumerate(plan)
+    ]
 
 
 class MeasurementDaemon:
@@ -487,21 +522,7 @@ class MeasurementDaemon:
                     plan = self.scheduler.plan_round(
                         allows=self._tenant_allowed
                     )
-                    tasks = [
-                        make_unit_task(
-                            index,
-                            f"{state_spec.spec.label}#{unit_index}",
-                            state_spec.vp_names[unit_index],
-                            state_spec.spec.kind,
-                            state_spec.spec.target_offset,
-                            state_spec.spec.target_count,
-                            state_spec.spec.slots,
-                            state_spec.spec.pps,
-                        )
-                        for index, (state_spec, unit_index) in enumerate(
-                            plan
-                        )
-                    ]
+                    tasks = _unit_tasks(plan)
                 if not plan:
                     if accrued <= 0.0:
                         # No credits were (or ever will be) granted:
@@ -515,7 +536,12 @@ class MeasurementDaemon:
                     continue
                 # Probing runs outside the lock: control-socket
                 # submissions land concurrently and join next round.
-                outcomes = executor.run_tasks(tasks)
+                dispatch = sorted(tasks, key=lambda task: task[0])
+                outcomes = executor.run_tasks(
+                    dispatch,
+                    [self.scenario.vp_by_name(task[2]).asn
+                     for task in dispatch],
+                )
                 with self._lock:
                     self._fold_round(plan, tasks, outcomes)
         except ServiceInterrupted:
@@ -536,7 +562,8 @@ class MeasurementDaemon:
         tasks: List[tuple],
         outcomes: Dict[int, tuple],
     ) -> None:
-        """Fold one round's outcomes back, strictly in plan order."""
+        """Fold one round's outcomes back, strictly in plan order
+        (``tasks`` is in plan order too)."""
         config = self.config
         for (state_spec, unit_index), task in zip(plan, tasks):
             result, kind, error = outcomes.get(
@@ -560,20 +587,10 @@ class MeasurementDaemon:
                         state_spec, "credit reservation lost"
                     )
                     continue
-                record = {
-                    "record": "unit",
-                    "version": 1,
-                    "unit": unit_index,
-                    "vp": task[2],
-                    "kind": state_spec.spec.kind,
-                    "targets": state_spec.targets_count,
-                    "probes": state_spec.unit_probes,
-                }
-                record.update(result)
                 quality = result.get("quality")
-                if isinstance(quality, dict):
+                if quality is not None:
                     self._fold_quality(tenant, quality)
-                state_spec.stream.append(record)
+                state_spec.stream.append_line(result["line"])
                 self.scheduler.record_success(state_spec)
                 self._units.labels(tenant, "ok").inc()
                 self._probes.labels(tenant).inc(state_spec.unit_probes)

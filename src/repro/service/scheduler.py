@@ -68,7 +68,6 @@ class SpecState:
         "status",
         "reason",
         "vp_names",
-        "targets_count",
         "unit_probes",
         "unit_cost",
         "next_unit",
@@ -84,7 +83,6 @@ class SpecState:
         self.status = ACTIVE
         self.reason: Optional[dict] = None
         self.vp_names: Tuple[str, ...] = ()
-        self.targets_count = 0
         self.unit_probes = 0
         self.unit_cost = 0.0
         self.next_unit = 0
@@ -175,8 +173,7 @@ class CreditScheduler:
             self._rejected.labels(spec.tenant, err.reason).inc()
             return dict(err.to_response(), tenant=spec.tenant, spec=spec.name), None
         state.vp_names = tuple(vp.name for vp in vps)
-        state.targets_count = len(targets)
-        state.unit_probes = probes_per_unit(spec, len(targets))
+        state.unit_probes = probes_per_unit(spec.kind, len(targets))
         state.unit_cost = unit_cost
         self.specs[spec.key] = state
         self._next_seq += 1
@@ -320,8 +317,7 @@ class CreditScheduler:
             targets = resolve_targets(spec, scenario)
             quota = self.ledger.quota_for(spec.tenant)
             state.vp_names = tuple(vp.name for vp in vps)
-            state.targets_count = len(targets)
-            state.unit_probes = probes_per_unit(spec, len(targets))
+            state.unit_probes = probes_per_unit(spec.kind, len(targets))
             state.unit_cost, _total = spec_costs(
                 spec, vps, targets, quota.cost_per_probe
             )

@@ -272,9 +272,10 @@ def resolve_targets(
     return targets
 
 
-def probes_per_unit(spec: MeasurementSpec, targets: int) -> int:
-    """Probe cost of one unit: destinations × probes-per-destination."""
-    return targets * (PING_COUNT if spec.kind == "ping" else 1)
+def probes_per_unit(kind: str, targets: int) -> int:
+    """Probe cost of one ``kind`` unit: destinations × probes per
+    destination."""
+    return targets * (PING_COUNT if kind == "ping" else 1)
 
 
 def spec_costs(
@@ -284,6 +285,6 @@ def spec_costs(
     cost_per_probe: float,
 ) -> Tuple[float, float]:
     """``(unit_cost, total_cost)`` in credits."""
-    unit_probes = probes_per_unit(spec, len(targets))
+    unit_probes = probes_per_unit(spec.kind, len(targets))
     unit_cost = unit_probes * cost_per_probe
     return unit_cost, unit_cost * len(vps)

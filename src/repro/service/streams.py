@@ -3,8 +3,9 @@
 Each admitted spec owns one stream file
 (``<stream_dir>/<tenant>/<spec>.jsonl``). Every completed unit
 appends exactly one line — the unit record in canonical JSON with an
-embedded per-line sha256 (:func:`repro.probing.artifacts.record_line`)
-— durably (flush + fsync) via :func:`append_text_line`. When the spec
+embedded per-line sha256 (:func:`repro.probing.artifacts.record_line`),
+encoded by the unit body wherever it ran — durably (flush + fsync)
+via :func:`append_text_line`. When the spec
 finishes, a trailer line seals the stream: record count plus a
 ``body_sha256`` over all record lines, itself checksummed.
 
@@ -156,9 +157,14 @@ class TenantStream:
 
     def append(self, record: dict) -> None:
         """Durably append one unit record (checksummed canonical JSON)."""
+        self.append_line(record_line(record))
+
+    def append_line(self, line: str) -> None:
+        """Durably append one unit record already encoded by
+        :func:`~repro.probing.artifacts.record_line` (a pooled unit
+        body encodes its own)."""
         if self.finalized:
             raise StreamFormatError(self.path, "stream already finalized")
-        line = record_line(record)
         append_text_line(self.path, line)
         self._body_hash.update((line + "\n").encode("utf-8"))
         self.records += 1

@@ -19,9 +19,11 @@ The acceptance bar pinned here:
 
 from __future__ import annotations
 
+import gc
 import gzip
 import hashlib
 import json
+import sys
 from enum import IntEnum
 from types import SimpleNamespace
 
@@ -201,7 +203,6 @@ def _misbehavior_specs(draw):
 class TestPerBatchSelectors:
     @given(
         st.lists(_PARTS, max_size=5),
-        # All-int parts take ``u64``'s one-update path.
         st.one_of(
             st.lists(_PARTS, max_size=5),
             st.lists(st.integers(), max_size=5),
@@ -210,11 +211,11 @@ class TestPerBatchSelectors:
     def test_prefix_hasher_equals_stable_u64(self, prefix, rest):
         hasher = StablePrefix(*prefix)
         assert hasher.u64(*rest) == stable_u64(*prefix, *rest)
-        assert hasher.uniform(*rest) == stable_uniform(*prefix, *rest)
 
     def test_bool_and_int_subclass_take_the_repr_path(self):
         """``%d`` would format ``True`` and an ``int`` subclass as the
-        plain int; ``repr`` does not, so they must not take it."""
+        plain int; ``repr`` does not, so a draw keyed by one differs
+        from a draw keyed by the plain int."""
 
         class Port(int):
             def __repr__(self):
@@ -542,6 +543,94 @@ class TestTransformOracle:
         injector.misbehave_pairs("mlab-lax", pairs, 9)
         assert calls == [
             dest.addr for dest, outcome in pairs if outcome.responded
+        ]
+
+
+class TestInlineDraws:
+    """A selection and a transform's per-reply draws hash inline: the
+    selector is the only Python frame a selection runs, a transform
+    calls nothing in ``repro.rng``, and every draw still equals
+    ``stable_uniform``/``stable_u64`` of its full key, salt included."""
+
+    @staticmethod
+    def _python_calls(fn, *args):
+        """``fn(*args)`` and the code of every Python frame it ran.
+        The collector is paused meanwhile: a collection would run
+        ``gc.callbacks`` (hypothesis registers one) inside the call."""
+        calls = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                calls.append(frame.f_code)
+
+        collecting = gc.isenabled()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            result = fn(*args)
+        finally:
+            sys.setprofile(None)
+            if collecting:
+                gc.enable()
+        return result, calls
+
+    @settings(max_examples=300)
+    @given(
+        spec=_misbehavior_specs(),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        vp_name=st.one_of(st.sampled_from(_VP_NAMES), st.text(max_size=8)),
+        round_no=st.one_of(
+            st.integers(min_value=0, max_value=3 * 1024),
+            st.integers(min_value=0, max_value=2**64),
+        ),
+        dest=st.one_of(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(),
+            st.booleans(),
+        ),
+    )
+    @example(
+        spec=StampCorruption(prob=0.5, sticky=False), seed=7,
+        vp_name="mlab-lax", round_no=2 * 1024 + 1, dest=True,
+    )
+    def test_selection_is_one_frame_equal_to_stable_uniform(
+        self, spec, seed, vp_name, round_no, dest
+    ):
+        expected = _reference_applies_to(
+            spec, seed, vp_name, dest, round_no
+        )
+        select = spec.selector(seed, vp_name, round_no)
+        if select is None:
+            assert not expected
+            return
+        got, calls = self._python_calls(select, dest)
+        assert got == expected
+        assert calls == [select.__code__]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cls=st.sampled_from((StampCorruption, TruncatedOption, SpoofedReply)),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        vp_name=st.one_of(st.sampled_from(_VP_NAMES), st.text(max_size=8)),
+        slots=st.integers(min_value=1, max_value=9),
+        addr=st.integers(min_value=0, max_value=2**32 - 1),
+        stamps=st.lists(
+            st.integers(min_value=0, max_value=2**32 - 1), max_size=8
+        ),
+    )
+    def test_transform_draws_inline_equal_to_stable_u64(
+        self, cls, seed, vp_name, slots, addr, stamps
+    ):
+        spec = cls(prob=1.0)
+        dest = _dest(addr)
+        outcome = _outcome("rr", addr, stamps[: slots - 1], slot=slots)
+        _can_taint, taint = FaultInjector._taint(spec, seed, vp_name, slots)
+        got, calls = self._python_calls(taint, dest, outcome)
+        want = _reference_taint(spec, seed, vp_name, dest, outcome, slots)
+        assert _fields(got) == _fields(want)
+        assert not [
+            code.co_name for code in calls
+            if code.co_filename.endswith("rng.py")
         ]
 
 

@@ -451,6 +451,22 @@ class TestAffinityDispatch:
         assert owners == {20: a, 10: b, 30: b}
         assert not queue
 
+    def test_one_group_round_splits_at_both_ends(self):
+        """A round of one group (the service's units of one VP, in
+        target-window order): the owner takes the oldest tasks, the
+        other worker steals the newest, and they meet in the middle."""
+        a, b = object(), object()
+        owners = {}
+        queue = _TaskQueue([(k, "t") for k in range(6)], [64500] * 6, owners)
+        assert self._keys(queue, a, 1) == [0]
+        assert self._keys(queue, b, 1) == [5]
+        assert owners == {64500: a}
+        assert self._keys(queue, a, 1) == [1]
+        assert self._keys(queue, b, 2) == [4, 3]
+        assert self._keys(queue, a, 1) == [2]
+        assert owners == {64500: a}
+        assert not queue
+
     def test_ungrouped_round_is_fifo(self):
         a, b = object(), object()
         owners = {}

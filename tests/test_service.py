@@ -25,6 +25,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import random
 import socket
 import tempfile
 import threading
@@ -34,6 +35,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.parallel import WorkerWatchdog
+from repro.core.survey import probe_vp_rr
+from repro.faults import FaultInjector
 from repro.obs.metrics import MetricsRegistry
 from repro.probing.artifacts import (
     CHECKPOINT_VERSION,
@@ -45,6 +49,10 @@ from repro.probing.artifacts import (
     verified_record,
 )
 from repro.obs.status import render_status
+from repro.probing.prober import DEFAULT_PPS
+from repro.probing.scheduler import ProbeOrder
+from repro.rng import derive_seed
+from repro.scenarios.faults import build_fault_plan
 from repro.scenarios.presets import get_preset
 from repro.scenarios.service import demo_quota, demo_spec_records
 from repro.service import (
@@ -70,6 +78,7 @@ from repro.service.scheduler import (
     PAUSED,
     REJECTED,
 )
+from repro.service.executor import make_unit_task, service_unit_body
 from repro.service.specs import resolve_targets, resolve_vps, spec_costs
 from repro.service.streams import StreamFormatError, TenantStream
 
@@ -633,6 +642,185 @@ def test_control_socket_split_writes_and_pipelining(tmp_path):
     assert not thread.is_alive()
 
 
+# -- pooled units: finished lines, dispatched by target window -------------
+
+
+def _parent_line(scenario, task: tuple, unit: int) -> str:
+    """A unit's stream line as the daemon built it before unit bodies
+    encoded their own: the body returned the row payload, and the
+    parent folded it into the record and encoded that."""
+    _key, _label, vp_name, kind, offset, count, slots, pps = task
+    vp = scenario.vp_by_name(vp_name)
+    targets = list(scenario.hitlist)[offset : offset + count]
+    if kind == "rr":
+        rows, inprefix, quality = probe_vp_rr(
+            scenario, vp, targets,
+            {dest.addr: i for i, dest in enumerate(targets)},
+            order=ProbeOrder.RANDOM, slots=slots, pps=pps,
+        )
+        result = {
+            "rows": [[index, slot] for index, slot in rows],
+            "inprefix": [[index, list(addrs)] for index, addrs in inprefix],
+            "quality": {
+                "checked": quality["checked"],
+                "verdicts": quality["verdicts"],
+                "reasons": quality["reasons"],
+                "invalid_dests": quality["invalid_dests"],
+                "quarantined": len(quality["quarantined"]),
+                "degraded": len(quality["degraded"]),
+            },
+        }
+    else:
+        network = scenario.network
+        network.begin_vp_session(f"{vp.name}/service-ping")
+        try:
+            results = scenario.prober.probe_batch_ping(
+                vp, targets, count=3, pps=pps
+            )
+        finally:
+            network.end_vp_session()
+        result = {
+            "rows": [
+                [index, bool(res.responded)]
+                for index, res in enumerate(results)
+            ],
+        }
+    record = {
+        "record": "unit",
+        "version": 1,
+        "unit": unit,
+        "vp": vp_name,
+        "kind": kind,
+        "targets": len(targets),
+        "probes": len(targets) * (3 if kind == "ping" else 1),
+    }
+    record.update(result)
+    return record_line(record)
+
+
+@pytest.mark.parametrize("faults", [None, "misbehave"])
+@pytest.mark.parametrize("kind", ["rr", "ping"])
+def test_unit_line_equals_parent_record(tmp_path, kind, faults):
+    """The line a unit body returns is the line the parent used to
+    encode from its result, clean and under lying data, and a stream
+    of them loads back."""
+    scenario = _scenario()
+    spec = parse_spec({
+        "tenant": "alice", "name": kind, "kind": kind,
+        "target_count": 40, "target_offset": 3, "vp_policy": "working",
+        "vp_limit": 6,
+    })
+    if faults is not None:
+        scenario.network.attach_injector(FaultInjector(
+            scenario.network, build_fault_plan(faults, scenario_seed=7),
+            horizon=spec.target_count / DEFAULT_PPS,
+        ))
+    stream = TenantStream.open(tmp_path / "s.jsonl", "alice", kind)
+    invalid = 0
+    vps = resolve_vps(spec, scenario)
+    for unit, vp in enumerate(vps):
+        task = make_unit_task(
+            unit, f"{spec.label}#{unit}", vp.name, kind,
+            spec.target_offset, spec.target_count, spec.slots, spec.pps,
+        )
+        result = service_unit_body({"scenario": scenario}, task)
+        assert result["line"] == _parent_line(scenario, task, unit)
+        record = verified_record(result["line"])
+        assert result.get("quality") == record.get("quality")
+        if kind == "rr":
+            invalid += record["quality"]["verdicts"]["invalid"]
+        stream.append_line(result["line"])
+    stream.finalize()
+    records, trailer = load_stream(tmp_path / "s.jsonl")
+    assert [r["unit"] for r in records] == list(range(len(vps)))
+    assert trailer["records"] == len(vps)
+    # The misbehaving world really taints replies the validator sees.
+    assert (invalid > 0) == (kind == "rr" and faults is not None)
+
+
+def _smoke_service(scenario, seed: int = 2016):
+    """``(specs, quota)``: the e2e benchmark's smoke-scale service
+    inputs. Eight tenants each ask for an rr and a ping spec over 40
+    destinations, their windows staggered by 20 from a seeded base;
+    each tenant's credits cover exactly its two specs."""
+    hitlist = len(scenario.hitlist)
+    base = random.Random(derive_seed(seed, "e2e-tenants")).randrange(
+        hitlist - 7 * 20 - 40 + 1
+    )
+    specs = [
+        {"tenant": f"tenant{t}", "name": f"{kind}-{t}", "kind": kind,
+         "vp_policy": "working", "vp_limit": 3, "target_count": 40,
+         "target_offset": base + t * 20}
+        for t in range(8)
+        for kind in ("rr", "ping")
+    ]
+    budget = float(3 * 40 * (1 + 3))
+    quota = TenantQuota(
+        initial_credits=budget, accrual_per_round=0.0, balance_cap=budget,
+        max_probes_per_spec=3 * 40 * 3, max_active_specs=2,
+    )
+    return specs, quota
+
+
+def test_daemon_leaves_parent_clock_bit_equal_across_jobs(tmp_path):
+    """A pooled daemon merges each unit's session time in key order,
+    and ``jobs=1`` runs the units in that order: the parent's clock
+    ends bit-equal at every ``jobs``, as for surveys and campaigns."""
+    clocks, hashes = {}, {}
+    for jobs in (1, 2, 4):
+        scenario = get_preset("tiny", 2016)
+        specs, quota = _smoke_service(scenario)
+        daemon = MeasurementDaemon(
+            scenario,
+            ServiceConfig(stream_dir=tmp_path / f"jobs{jobs}", jobs=jobs,
+                          quota=quota),
+            registry=_registry(),
+        )
+        for record in specs:
+            assert daemon.submit(record)["ok"]
+        assert daemon.run()["state"] == "done"
+        clocks[jobs] = scenario.network.clock.now.hex()
+        hashes[jobs] = _stream_hashes(tmp_path / f"jobs{jobs}")
+    assert float.fromhex(clocks[1]) > 0.0
+    assert clocks[1] == clocks[2] == clocks[4]
+    assert len(hashes[1]) == 16
+    assert hashes[1] == hashes[2] == hashes[4]
+
+
+def test_units_dispatch_in_window_order_grouped_by_vp_asn(
+    tmp_path, monkeypatch
+):
+    """Each round reaches the executor sorted by target window and
+    keyed in that order, each unit grouped under its VP's ASN."""
+    calls = []
+    run_tasks = WorkerWatchdog.run_tasks
+
+    def spy(self, tasks, groups=None):
+        calls.append((list(tasks), groups))
+        return run_tasks(self, tasks, groups)
+
+    monkeypatch.setattr(WorkerWatchdog, "run_tasks", spy)
+    scenario = _scenario()
+    daemon = MeasurementDaemon(
+        scenario, _config(tmp_path, jobs=2), registry=_registry()
+    )
+    for record in SPECS:
+        daemon.submit(record)
+    assert daemon.run()["state"] == "done"
+    assert calls
+    reordered = False
+    for tasks, groups in calls:
+        assert [task[0] for task in tasks] == list(range(len(tasks)))
+        assert groups == [scenario.vp_by_name(task[2]).asn for task in tasks]
+        windows = [(task[4], task[5]) for task in tasks]
+        assert windows == sorted(windows)
+        # Plan order visits tenants by name; alice's window is not
+        # the lowest, so some round is handed over reordered.
+        labels = [task[1].partition("/")[0] for task in tasks]
+        reordered |= labels != sorted(labels)
+    assert reordered
+
+
 # -- per-tenant reply quality ----------------------------------------------
 
 
@@ -932,18 +1120,24 @@ class TestKillTearResume:
         kill=st.integers(1, 4),
         tear=st.sampled_from(["none", "cut", "flip"]),
         where=st.integers(0, 2**20),
+        jobs=st.just(1),
     )
-    @example(kill=3, tear="cut", where=8)  # CI's torn last line
-    @example(kill=2, tear="cut", where=0)  # only the newline is gone
-    @example(kill=3, tear="flip", where=0)  # corrupt first entry line
-    def test_random_kill_tear_resume(self, baseline, kill, tear, where):
+    @example(kill=3, tear="cut", where=8, jobs=1)  # CI's torn last line
+    @example(kill=2, tear="cut", where=0, jobs=1)  # only the newline is gone
+    @example(kill=3, tear="flip", where=0, jobs=1)  # corrupt first entry line
+    # Pooled units encode their own stream lines; killed and resumed
+    # on a pool, they still rewrite the uninterrupted bytes.
+    @example(kill=3, tear="cut", where=8, jobs=2)
+    def test_random_kill_tear_resume(
+        self, baseline, kill, tear, where, jobs
+    ):
         units, expect = baseline
         assert kill < units
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             path = tmp / "service.ckpt"
             daemon = MeasurementDaemon(
-                _scenario(), _config(tmp, kill_after_units=kill),
+                _scenario(), _config(tmp, kill_after_units=kill, jobs=jobs),
                 registry=_registry(),
             )
             for record in SPECS:
@@ -972,7 +1166,7 @@ class TestKillTearResume:
 
             registry = _registry()
             resumed = MeasurementDaemon(
-                _scenario(), _config(tmp), registry=registry
+                _scenario(), _config(tmp, jobs=jobs), registry=registry
             )
             assert resumed.restore() is True
             assert resumed.scheduler.rounds == survivors["rounds"]
