@@ -58,7 +58,9 @@ times; the parent folds them in key order, so totals — and the
 parent's clock — never depend on completion order. A killed attempt
 ships nothing. Tasks may name an affinity group (a VP's ASN), and an
 idle worker keeps to the groups it owns (:class:`_TaskQueue`), so a
-pool resolves each ingress AS's routes and plans once.
+pool resolves each ingress AS's routes and plans once; it steals a
+task of a group it never ran only when that saves time
+(:class:`_GroupTimes`).
 
 Collector discipline: every task body, wherever it runs, runs with
 automatic collection off (:func:`_collector_paused`). Right before the
@@ -403,6 +405,61 @@ class _WorkerHandle:
         self.tries = 0  # watchdog-level tries consumed by current task
 
 
+class _GroupTimes:
+    """What a pool has measured of its affinity groups' tasks.
+
+    Every duration runs from dispatch to result on the parent's
+    monotonic clock. A group's *cold* time is its first measured task's,
+    which ran on a worker that had never run the group and so resolved
+    its routes and compiled its plans; its *warm* time is the last one
+    measured on a worker that had run the group before. ``ran`` maps
+    each worker to the groups it has finished a task of, and
+    ``running`` each busy worker to its task's ``(group, warm,
+    dispatched)``. Only a task that returns a result counts: a failed
+    or killed attempt records nothing, and a respawned worker starts
+    with no history. Workers are plain keys here, never read.
+    """
+
+    def __init__(self) -> None:
+        self.cold: Dict[Hashable, float] = {}
+        self.warm: Dict[Hashable, float] = {}
+        #: The last warm time measured in any group.
+        self.last_warm: Optional[float] = None
+        self.ran: Dict[object, set] = {}
+        self.running: Dict[object, Tuple[Hashable, bool, float]] = {}
+
+    def start(self, worker: object, group: Hashable, now: float) -> None:
+        self.running[worker] = (
+            group, group in self.ran.get(worker, ()), now
+        )
+
+    def finish(self, worker: object, now: float, ok: bool) -> None:
+        group, warm, dispatched = self.running.pop(worker)
+        if not ok or group is None:
+            return
+        if warm:
+            self.warm[group] = self.last_warm = now - dispatched
+        else:
+            self.cold.setdefault(group, now - dispatched)
+        self.ran.setdefault(worker, set()).add(group)
+
+    def forget(self, worker: object) -> None:
+        """Drop a killed worker's history and running task."""
+        self.ran.pop(worker, None)
+        self.running.pop(worker, None)
+
+    def expected(self, group: Hashable, warm: bool) -> Optional[float]:
+        """A task's expected duration: on a worker that ran its group,
+        the group's warm time (until one is measured, the last warm time
+        of any group, else the group's cold time); otherwise the group's
+        cold time. ``None`` if that is not measured either."""
+        if warm:
+            estimate = self.warm.get(group, self.last_warm)
+            if estimate is not None:
+                return estimate
+        return self.cold.get(group)
+
+
 class _TaskQueue:
     """One round's queued tasks, handed to idle workers by group.
 
@@ -414,9 +471,20 @@ class _TaskQueue:
     1. the oldest queued task of a group it owns;
     2. the oldest task of the unowned group with the most queued
        tasks, and owns that group from then on;
-    3. the newest queued task of any group (a steal: the thief warms
-       that group's caches once, but no worker idles while a task
-       waits).
+    3. the newest queued task of any group it may steal from (the
+       thief warms that group's caches once, so no worker idles while
+       a task waits that it can finish sooner than the owner).
+
+    With ``times`` (:class:`_GroupTimes`), a thief that never ran a
+    group steals from it only when the group's cold time is below its
+    owner's *drain time*: what remains of the owner's running task plus
+    each task queued in the owner's groups times that group's warm
+    time. It steals as without ``times`` when the group's cold time or
+    a duration the drain needs is not measured yet, or when the owner's
+    running task has already run longer than that cold time (a hung
+    owner's queue still drains before the watchdog fires). A thief
+    that may steal from no group takes nothing and waits; ``recheck``
+    says when the first owner it waited on would turn overdue.
 
     Ungrouped tasks (group ``None``) are never owned, so a round
     without groups is dispatched first in, first out.
@@ -427,20 +495,30 @@ class _TaskQueue:
         tasks: List[tuple],
         groups: Optional[Sequence[Hashable]],
         owners: Dict[Hashable, _WorkerHandle],
+        times: Optional[_GroupTimes] = None,
     ) -> None:
         self._owners = owners
+        self._times = times
         #: group -> its queued ``(sequence, task)``s, oldest first.
         self._queues: Dict[Hashable, deque] = {}
         for seq, task in enumerate(tasks):
             group = None if groups is None else groups[seq]
             self._queues.setdefault(group, deque()).append((seq, task))
         self._size = len(tasks)
+        #: When the owner of a steal :meth:`take` declined turns overdue
+        #: (parent monotonic time; the earliest such), so the pool can
+        #: wake then and ask again.
+        self.recheck: Optional[float] = None
 
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def take(self, handle: _WorkerHandle) -> Tuple[Hashable, tuple]:
-        """``(group, (sequence, task))`` for idle ``handle``."""
+    def take(
+        self, handle: _WorkerHandle, now: Optional[float] = None
+    ) -> Optional[Tuple[Hashable, tuple]]:
+        """``(group, (sequence, task))`` for idle ``handle``, or ``None``
+        when it should wait (step 3 found nothing worth stealing);
+        ``now`` is the parent's monotonic time (default: read it)."""
         owners = self._owners
         queued = [(g, q) for g, q in self._queues.items() if q]
         mine = [(g, q) for g, q in queued if owners.get(g) is handle]
@@ -457,10 +535,48 @@ class _TaskQueue:
                     owners[group] = handle
                 item = queue.popleft()
             else:
+                if self._times is not None:
+                    now = time.monotonic() if now is None else now
+                    queued = [
+                        (g, q) for g, q in queued
+                        if self._may_steal(handle, g, now)
+                    ]
+                    if not queued:
+                        return None
                 group, queue = max(queued, key=lambda gq: gq[1][-1][0])
                 item = queue.pop()
         self._size -= 1
         return group, item
+
+    def _may_steal(self, thief: object, group: Hashable, now: float) -> bool:
+        """Step 3's condition for ``thief`` and another worker's
+        ``group`` (see the class docstring)."""
+        times = self._times
+        cold = times.cold.get(group)
+        if cold is None or group in times.ran.get(thief, ()):
+            return True
+        owner = self._owners[group]
+        drain = 0.0
+        since = now  # when the owner's running task started
+        running = times.running.get(owner)
+        if running is not None:
+            own_group, warm, since = running
+            elapsed = now - since
+            expected = times.expected(own_group, warm)
+            if elapsed > cold or expected is None:
+                return True
+            drain = max(expected - elapsed, 0.0)
+        for other, queue in self._queues.items():
+            if queue and self._owners.get(other) is owner:
+                expected = times.expected(other, True)
+                if expected is None:
+                    return True
+                drain += len(queue) * expected
+        if cold < drain:
+            return True
+        if self.recheck is None or since + cold < self.recheck:
+            self.recheck = since + cold
+        return False
 
     def put_back(self, group: Hashable, item: tuple) -> None:
         """Requeue a taken ``item`` where it was (its send failed)."""
@@ -484,9 +600,11 @@ class WorkerWatchdog:
     completion order. Killed attempts ship nothing.
 
     Pooled dispatch follows the groups :meth:`run_tasks` is handed
-    (see :class:`_TaskQueue`). Ownership lives on the executor, so a
-    campaign's retry rounds reuse it; a respawned worker's groups
-    become unowned, because its caches died with it.
+    (see :class:`_TaskQueue`). Ownership and the groups' measured
+    durations (:class:`_GroupTimes`) live on the executor, so a
+    campaign's retry rounds reuse them; a respawned worker's groups
+    become unowned and its history goes, because its caches died with
+    it.
     """
 
     def __init__(
@@ -527,6 +645,7 @@ class WorkerWatchdog:
         self._workers: List[_WorkerHandle] = []
         #: Affinity group -> the live worker that owns it.
         self._owners: Dict[Hashable, _WorkerHandle] = {}
+        self._times = _GroupTimes()
         self.hangs_detected = 0
         self.workers_respawned = 0
         #: Per-key flight-recorder mirror (supervised only): the last
@@ -585,6 +704,7 @@ class WorkerWatchdog:
         self._kill_worker(handle)
         for group in [g for g, h in self._owners.items() if h is handle]:
             del self._owners[group]
+        self._times.forget(handle)
         fresh = self._spawn_worker()
         index = self._workers.index(handle)
         self._workers[index] = fresh
@@ -606,6 +726,7 @@ class WorkerWatchdog:
             self._kill_worker(handle)
         self._workers = []
         self._owners.clear()
+        self._times = _GroupTimes()
         if self._frozen:
             gc.unfreeze()
             self._frozen = False
@@ -705,7 +826,8 @@ class WorkerWatchdog:
         while len(self._workers) < want:
             self._workers.append(self._spawn_worker())
 
-        queue = _TaskQueue(tasks, groups, self._owners)
+        times = self._times
+        queue = _TaskQueue(tasks, groups, self._owners, times)
         raw_results: List[tuple] = []
         in_flight = 0
 
@@ -723,18 +845,23 @@ class WorkerWatchdog:
 
         def dispatch() -> None:
             nonlocal in_flight
+            queue.recheck = None
             for handle in self._workers:
                 if not queue:
                     return
                 if handle.task is not None:
                     continue
-                group, item = queue.take(handle)
+                taken = queue.take(handle)
+                if taken is None:
+                    continue  # nothing worth stealing; its owner runs it
+                group, item = taken
                 handle.tries += 1
                 if not send(handle, item[1]):
                     # Died between tasks; revive and retry dispatch.
                     queue.put_back(group, item)
                     self._respawn(handle)
                     return
+                times.start(handle, group, time.monotonic())
                 in_flight += 1
 
         def fail_task(
@@ -764,10 +891,12 @@ class WorkerWatchdog:
             tries = handle.tries
             handle.task = None
             in_flight -= 1
+            group = times.running[handle][0]
             fresh = self._respawn(handle)
             if supervised and tries < self.config.task_tries:
                 fresh.tries = tries + 1  # budget follows the task
                 if send(fresh, task):
+                    times.start(fresh, group, time.monotonic())
                     in_flight += 1
                     return
             outcomes[task[0]] = (None, kind, detail)
@@ -784,10 +913,12 @@ class WorkerWatchdog:
                 for handle in self._workers
                 if handle.task is not None
             }
-            ready = _mp_wait(
-                list(busy),
-                timeout=self.config.poll_interval if supervised else None,
-            )
+            timeout = self.config.poll_interval if supervised else None
+            if queue.recheck is not None:
+                # A declined steal turns overdue then: dispatch again.
+                wake = max(queue.recheck - time.monotonic(), 0.0)
+                timeout = wake if timeout is None else min(timeout, wake)
+            ready = _mp_wait(list(busy), timeout=timeout)
             now = time.monotonic()
             for conn in ready:
                 handle = busy[conn]
@@ -820,6 +951,7 @@ class WorkerWatchdog:
                 outcomes[key] = (
                     result, "ok" if error is None else "failed", error
                 )
+                times.finish(handle, now, error is None)
                 handle.task = None
                 handle.tries = 0
                 in_flight -= 1

@@ -48,16 +48,19 @@ from repro.faults.supervisor import (
     VpHealthTracker,
     vp_attempt_body,
 )
+from repro.integrity import (
+    canonical_json_bytes,
+    canonical_members_bytes,
+    checksummed_members_bytes,
+)
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.spans import TRACER
 from repro.obs.status import CampaignStatusWriter, sum_counter
 from repro.probing.artifacts import (
     append_text_line,
     atomic_write_bytes,
-    checksummed_json_bytes,
     cut_checkpoint_tail,
     read_checkpoint,
-    record_line,
     start_checkpoint,
 )
 from repro.probing.validation import empty_quality, merge_quality
@@ -266,6 +269,25 @@ def load_checkpoint(path: Union[str, Path]) -> dict:
         data["completed"].update(completed)
         data["attempts"] = attempts
     return data
+
+
+def _checkpoint_line(name: str, entry: bytes, attempts: dict) -> str:
+    """The log line of one completed VP, ``record_line({"completed":
+    {name: <entry>}, "attempts": attempts})``, spliced around ``entry``,
+    the entry's canonical bytes (:func:`~repro.faults.supervisor.
+    encode_attempt`)."""
+    return checksummed_members_bytes({
+        "attempts": canonical_json_bytes(attempts),
+        "completed": canonical_members_bytes({name: entry}),
+    }).decode("utf-8")
+
+
+def _joined_lists(encoded: Sequence[bytes]) -> bytes:
+    """The canonical bytes of the concatenation of JSON lists, given
+    each list's canonical bytes."""
+    return b"[" + b",".join(
+        item[1:-1] for item in encoded if item != b"[]"
+    ) + b"]"
 
 
 class CampaignRunner:
@@ -488,6 +510,11 @@ class CampaignRunner:
                 "pps": self.pps,
                 "plan": self.plan,
                 "horizon": horizon,
+                # Attempts come home encoded when the run persists them.
+                "encode": (
+                    checkpoint is not None
+                    or self.quarantine_path is not None
+                ),
             },
             self.jobs,
             self.supervision,
@@ -551,6 +578,10 @@ class CampaignRunner:
         # rows never merge, but the quarantine sidecar still documents
         # *why* the VP was rejected. Keyed by name; merged in VP order.
         garbage_quality: Dict[str, dict] = {}
+        # The encoded quarantined and degraded lists each VP brings to
+        # the sidecar: its completed attempt's, else its last garbage
+        # attempt's. VPs restored from a checkpoint have none here.
+        fragments: Dict[str, Tuple[bytes, bytes]] = {}
 
         clock = scenario.network.clock
         campaign_span = TRACER.begin(
@@ -635,7 +666,10 @@ class CampaignRunner:
                             still_pending.append(index)
                             continue
                         attempts[name] = attempts.get(name, 0) + 1
-                        rows, kind, _error = outcomes[index]
+                        result, kind, _error = outcomes[index]
+                        rows, encoded = result or (None, None)
+                        if encoded is not None:
+                            fragments[name] = encoded[1:]
                         if (
                             kind == "ok"
                             and rows is not None
@@ -659,15 +693,12 @@ class CampaignRunner:
                             if tracker is not None:
                                 tracker.record(name, "ok")
                             if checkpoint is not None:
-                                found, inprefix, quality = rows
-                                append_text_line(checkpoint, record_line({
-                                    "completed": {name: {
-                                        "rows": found,
-                                        "inprefix": inprefix,
-                                        "quality": quality,
-                                    }},
-                                    "attempts": attempts,
-                                }))
+                                append_text_line(
+                                    checkpoint,
+                                    _checkpoint_line(
+                                        name, encoded[0], attempts
+                                    ),
+                                )
                             completed_this_run += 1
                             if (
                                 self.kill_after_vps is not None
@@ -738,19 +769,33 @@ class CampaignRunner:
         # order (completed VPs contribute their checkpointed quality;
         # garbage-rejected VPs contribute their final rejected
         # attempt's), so the sidecar bytes are schedule-independent.
+        # The sidecar splices each contributing VP's encoded lists in
+        # the same order.
         quality_total = empty_quality()
+        sidecar_parts: List[Tuple[bytes, bytes]] = []
         for vp_index, vp in enumerate(vp_list):
             entry = completed.get(vp.name)
-            if entry is None:
-                merge_quality(quality_total, garbage_quality.get(vp.name))
+            vp_quality = (
+                garbage_quality.get(vp.name) if entry is None else entry[2]
+            )
+            if vp_quality is None:
                 continue
-            rows, inprefix, vp_quality = entry
             merge_quality(quality_total, vp_quality)
+            if self.quarantine_path is not None:
+                sidecar_parts.append(fragments.get(vp.name) or (
+                    canonical_json_bytes(vp_quality.get("quarantined", [])),
+                    canonical_json_bytes(vp_quality.get("degraded", [])),
+                ))
+            if entry is None:
+                continue
+            rows, inprefix, _quality = entry
             for dest_index, slot in rows:
                 survey.responses[dest_index][vp_index] = slot
             for dest_index, addrs in inprefix:
                 survey.inprefix_addrs[dest_index].update(addrs)
-        sidecar = self._write_quarantine_sidecar(quality_total)
+        sidecar = self._write_quarantine_sidecar(
+            quality_total, sidecar_parts
+        )
         quarantined = {} if tracker is None else dict(tracker.quarantined)
         return CampaignResult(
             survey=survey,
@@ -781,31 +826,34 @@ class CampaignRunner:
         )
 
     def _write_quarantine_sidecar(
-        self, quality: dict
+        self, quality: dict, parts: Sequence[Tuple[bytes, bytes]]
     ) -> Optional[str]:
         """Persist the quarantine/degradation sidecar (checksummed).
 
         Written whenever a ``quarantine_path`` was configured — an
         empty record list is still a statement ("validation ran and
         found nothing"), and writing unconditionally keeps the CI
-        assertion simple. Record order is VP-merge order then
-        ``(dest_index, round)``, so the bytes are invariant under
-        jobs, retry schedules, and resume.
+        assertion simple. ``parts`` holds each contributing VP's
+        encoded ``quarantined`` and ``degraded`` lists in VP-merge
+        order; the ``records`` and ``degraded`` members are spliced
+        from them, so the bytes are those of ``quality``'s merged lists.
+        Record order is VP-merge order then ``(dest_index, round)``, so
+        the bytes are invariant under jobs, retry schedules, and resume.
         """
         path = self.quarantine_path
         if path is None:
             return None
-        record = {
-            "version": 1,
-            "scenario": self.scenario.name,
-            "seed": self.scenario.seed,
-            "plan": self.plan.describe(),
-            "reasons": {
-                reason: quality["reasons"][reason]
-                for reason in sorted(quality["reasons"])
-            },
-            "records": quality["quarantined"],
-            "degraded": quality["degraded"],
+        members = {
+            key: canonical_json_bytes(value)
+            for key, value in (
+                ("version", 1),
+                ("scenario", self.scenario.name),
+                ("seed", self.scenario.seed),
+                ("plan", self.plan.describe()),
+                ("reasons", quality["reasons"]),
+            )
         }
-        atomic_write_bytes(path, checksummed_json_bytes(record))
+        members["records"] = _joined_lists([q for q, _d in parts])
+        members["degraded"] = _joined_lists([d for _q, d in parts])
+        atomic_write_bytes(path, checksummed_members_bytes(members))
         return str(path)

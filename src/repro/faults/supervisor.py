@@ -54,11 +54,12 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.survey import VPRows, probe_vp_rr
 from repro.faults.injector import FaultInjector
 from repro.faults.specs import FaultPlan, VpCrash, VpHang
+from repro.integrity import canonical_json_bytes, canonical_members_bytes
 from repro.obs.metrics import CounterFamily, MetricsRegistry, REGISTRY
 from repro.obs.spans import TRACER
 
@@ -69,6 +70,7 @@ __all__ = [
     "VpHealthTracker",
     "InjectedHang",
     "InjectedCrash",
+    "encode_attempt",
     "run_vp_attempt",
     "vp_attempt_body",
     "supervisor_quarantine_counter",
@@ -297,7 +299,36 @@ def run_vp_attempt(
 _CRASH_EXIT_STATUS = 13
 
 
-def vp_attempt_body(state: dict, task: tuple, heartbeat) -> VPRows:
+#: What :func:`encode_attempt` returns: the canonical JSON of a VP's
+#: checkpoint entry and of its quarantined and degraded record lists.
+AttemptBytes = Tuple[bytes, bytes, bytes]
+
+
+def encode_attempt(rows: VPRows) -> AttemptBytes:
+    """``(entry, quarantined, degraded)``: the canonical JSON of one
+    VP's checkpoint entry ``{"inprefix", "quality", "rows"}`` and of its
+    quality block's ``quarantined`` and ``degraded`` record lists.
+
+    Each list is encoded once; the entry's quality block splices those
+    same bytes in, and the campaign splices them again into its
+    quarantine sidecar. So the parent never re-encodes what a worker
+    already encoded.
+    """
+    found, inprefix, quality = rows
+    members = {
+        key: canonical_json_bytes(value) for key, value in quality.items()
+    }
+    entry = canonical_members_bytes({
+        "inprefix": canonical_json_bytes(inprefix),
+        "quality": canonical_members_bytes(members),
+        "rows": canonical_json_bytes(found),
+    })
+    return entry, members["quarantined"], members["degraded"]
+
+
+def vp_attempt_body(
+    state: dict, task: tuple, heartbeat
+) -> Tuple[VPRows, Optional[AttemptBytes]]:
     """The campaign's executor task body: one faulted VP attempt.
 
     ``task`` is ``(vp_index, vp_name, attempt)`` — the attempt number
@@ -308,11 +339,15 @@ def vp_attempt_body(state: dict, task: tuple, heartbeat) -> VPRows:
     does not get to report its own death: the pipe EOF *is* the
     report, exactly as for a real segfault. With no watchdog to
     recover the worker, both are ordinary failures.
+
+    Returns the attempt's rows and, when the campaign persists them
+    (``state["encode"]``: a checkpoint or a quarantine sidecar), their
+    :func:`encode_attempt` bytes, so a pooled attempt arrives encoded.
     """
     vp_index, _name, attempt = task
     supervised = heartbeat is not None
     try:
-        return run_vp_attempt(
+        rows = run_vp_attempt(
             state["scenario"],
             state["vps"][vp_index],
             attempt,
@@ -330,6 +365,7 @@ def vp_attempt_body(state: dict, task: tuple, heartbeat) -> VPRows:
         if not supervised:
             raise
         os._exit(_CRASH_EXIT_STATUS)
+    return rows, encode_attempt(rows) if state.get("encode") else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ them too:
 * :func:`embed_checksum` / :func:`split_checksum` /
   :func:`checksum_of` — an embedded sha256 over a record's canonical
   JSON bytes (:func:`canonical_json_bytes`);
-  :func:`checksummed_json_bytes` writes such a record in one pass.
+  :func:`checksummed_json_bytes` writes such a record in one pass, and
+  :func:`checksummed_members_bytes` splices one from members whose
+  values are already canonical bytes (:func:`canonical_members_bytes`
+  without the digest), so a value encoded elsewhere — in a pool
+  worker — is never decoded or encoded again.
 
 :mod:`repro.probing.artifacts` builds verification counters, the
 line-log codec and checkpoints on top, and re-exports these names.
@@ -22,15 +26,17 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "CHECKSUM_KEY",
     "atomic_write_bytes",
     "atomic_write_text",
     "canonical_json_bytes",
+    "canonical_members_bytes",
     "checksum_of",
     "checksummed_json_bytes",
+    "checksummed_members_bytes",
     "embed_checksum",
     "split_checksum",
 ]
@@ -82,16 +88,38 @@ def atomic_write_text(
 # ---------------------------------------------------------------------------
 
 
-def canonical_json_bytes(record: Dict) -> bytes:
+#: One encoder for every canonical value (``json.dumps`` with these
+#: options would build a new one per call).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def canonical_json_bytes(value: object) -> bytes:
     """The canonical serialisation checksums are computed over.
 
-    Sorted keys + compact separators: any dict that parses back to the
+    Sorted keys + compact separators: any value that parses back to the
     same data canonicalises to the same bytes, so a load can recompute
     the digest of what it parsed and compare against the embedded one.
     """
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return _CANONICAL(value).encode("utf-8")
+
+
+def _sorted_members(members: Dict[str, bytes]) -> List[bytes]:
+    """``"key":value`` for each member, in canonical (sorted key)
+    order."""
+    return [
+        _CANONICAL(key).encode("utf-8") + b":" + value
+        for key, value in sorted(members.items())
+    ]
+
+
+def canonical_members_bytes(members: Dict[str, bytes]) -> bytes:
+    """The canonical bytes of a map given its members' canonical bytes.
+
+    ``members`` maps each string key to its value's
+    :func:`canonical_json_bytes`; the result equals the canonical bytes
+    of the decoded map, and no value is decoded or re-encoded.
+    """
+    return b"{" + b",".join(_sorted_members(members)) + b"}"
 
 
 def checksum_of(record: Dict) -> str:
@@ -109,30 +137,32 @@ def embed_checksum(record: Dict) -> Dict:
     return out
 
 
-def checksummed_json_bytes(record: Dict) -> bytes:
-    """``canonical_json_bytes(embed_checksum(record))``, serialised once.
+def checksummed_members_bytes(members: Dict[str, bytes]) -> bytes:
+    """A checksummed record spliced from its members' canonical bytes.
 
-    The body's keys that sort before :data:`CHECKSUM_KEY` and those
-    that sort after it are encoded as two canonical halves. Joined,
-    they are the body's canonical bytes, which the digest covers; the
-    ``"sha256":"<hex>"`` member is then spliced between them, where a
-    sorted encoding of the whole record puts it. A stale digest in
-    ``record`` is dropped, as :func:`embed_checksum` drops it.
+    ``members`` is as for :func:`canonical_members_bytes`. The digest
+    covers the members' canonical map, and the ``"sha256":"<hex>"``
+    member is spliced in where a sorted encoding of the whole record
+    puts it, so the result is ``canonical_json_bytes(embed_checksum(
+    record))`` of the decoded record. A stale :data:`CHECKSUM_KEY`
+    member is dropped, as :func:`embed_checksum` drops it.
     """
-    head: Dict = {}
-    tail: Dict = {}
-    for key, value in record.items():
-        if key < CHECKSUM_KEY:
-            head[key] = value
-        elif key > CHECKSUM_KEY:
-            tail[key] = value
-    members = [
-        canonical_json_bytes(half)[1:-1] for half in (head, tail) if half
-    ]
-    digest = hashlib.sha256(b"{" + b",".join(members) + b"}").hexdigest()
-    member = f'"{CHECKSUM_KEY}":"{digest}"'.encode("utf-8")
-    members.insert(1 if head else 0, member)
-    return b"{" + b",".join(members) + b"}"
+    body = {k: v for k, v in members.items() if k != CHECKSUM_KEY}
+    encoded = _sorted_members(body)
+    digest = hashlib.sha256(b"{" + b",".join(encoded) + b"}").hexdigest()
+    encoded.insert(
+        sum(1 for key in body if key < CHECKSUM_KEY),
+        f'"{CHECKSUM_KEY}":"{digest}"'.encode("utf-8"),
+    )
+    return b"{" + b",".join(encoded) + b"}"
+
+
+def checksummed_json_bytes(record: Dict) -> bytes:
+    """``canonical_json_bytes(embed_checksum(record))``, serialised once
+    (:func:`checksummed_members_bytes` over each member's encoding)."""
+    return checksummed_members_bytes(
+        {key: canonical_json_bytes(value) for key, value in record.items()}
+    )
 
 
 def split_checksum(record: Dict) -> Tuple[Dict, Optional[str]]:

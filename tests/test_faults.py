@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import hashlib
 import json
 import os
 import pickle
@@ -45,6 +46,8 @@ from repro.faults import (
     VpChurn,
 )
 from repro.faults.campaign import load_checkpoint
+from repro.faults.specs import ZombieVp
+from repro.faults.supervisor import SupervisionConfig
 from repro.probing.artifacts import (
     embed_checksum,
     record_line,
@@ -507,6 +510,69 @@ class TestKillTearResume:
             assert len(log.splitlines()) == 1 + len(
                 load_checkpoint(ck)["completed"]
             )
+
+
+class TestPinnedCampaignBytes:
+    """Attempts arrive encoded and the parent splices them: the
+    checkpoint, quarantine sidecar and survey bytes of a supervised
+    chaos + misbehave campaign with one zombie VP (the garbage gate
+    quarantines it, so its last attempt's lists reach the sidecar) are
+    the digests pinned when the parent encoded every record whole —
+    at jobs 1 and 2, and after a kill, a torn last line and a resume at
+    jobs 2, where the restored VPs' lists are encoded in the parent."""
+
+    CHECKPOINT = (
+        "3f9662c6022851eb8e50bc4ee1a280e77abe0c3b2b7267d9d28db6415cfd3f6a"
+    )
+    RESUMED_CHECKPOINT = (
+        "2de224ed02aeb6430548aa6cee4df16e00b0c0681b54c7a0ca957f7a8e88117e"
+    )
+    SIDECAR = (
+        "1b830ef3afed993eabef35f4b0fb4f74f3471071c3660f14f5f7fbd2ff580e75"
+    )
+    SURVEY = (
+        "a88584bacf8688c307cd512552fdc01e690c7e6d4bc3a528e27b2bd388a7047e"
+    )
+
+    @staticmethod
+    def _run(tmp, jobs, resume=False, **kwargs):
+        world = get_preset("tiny", 7)
+        vps = list(world.vps)[:6]
+        plan = FaultPlan(
+            seed=11,
+            specs=FAULT_PRESETS["chaos"] + FAULT_PRESETS["misbehave"]
+            + (ZombieVp(vps=(vps[2].name,)),),
+        )
+        result = CampaignRunner(
+            world, plan=plan, jobs=jobs, max_retries=3,
+            supervision=SupervisionConfig(quarantine_after=2),
+            checkpoint_path=tmp / "ck.log",
+            quarantine_path=tmp / "q.json", **kwargs,
+        ).run(targets=list(world.hitlist)[:60], vps=vps, resume=resume)
+        save_survey(result.survey, tmp / "s.json")
+        digests = [
+            hashlib.sha256((tmp / name).read_bytes()).hexdigest()
+            for name in ("ck.log", "q.json", "s.json")
+        ]
+        return result, digests
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_uninterrupted(self, tmp_path, jobs):
+        result, digests = self._run(tmp_path, jobs)
+        assert list(result.quarantined) == ["mlab-den"]
+        assert result.quality["quarantined"] and result.quality["degraded"]
+        assert digests == [self.CHECKPOINT, self.SIDECAR, self.SURVEY]
+
+    def test_kill_tear_resume(self, tmp_path):
+        with pytest.raises(CampaignInterrupted):
+            self._run(tmp_path, 2, kill_after_vps=3)
+        log = tmp_path / "ck.log"
+        log.write_bytes(log.read_bytes()[:-9])
+        result, digests = self._run(tmp_path, 2, resume=True)
+        assert (result.resumed_vps, result.checkpoint_repairs) == (2, 1)
+        assert digests == [
+            self.RESUMED_CHECKPOINT, self.SIDECAR, self.SURVEY
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import time
 
 import pytest
 
-from repro.core.parallel import WorkerWatchdog, _TaskQueue
+from repro.core.parallel import WorkerWatchdog, _GroupTimes, _TaskQueue
 from repro.core.study import run_full_study
 from repro.core.survey import (
     load_survey,
@@ -420,6 +421,12 @@ def _pid_body(state, task, heartbeat):
     return os.getpid()
 
 
+def _sleep_body(state, task, heartbeat):
+    """Sleep ``task[2]`` seconds, then say which process ran it."""
+    time.sleep(task[2])
+    return os.getpid()
+
+
 class TestAffinityDispatch:
     """Pooled dispatch by affinity group (``_TaskQueue``): own groups
     first, then the largest unowned group, then a steal."""
@@ -501,6 +508,136 @@ class TestAffinityDispatch:
         finally:
             executor.close()
         assert executor._owners == {}
+
+    # -- the steal rule, on injected durations (``_GroupTimes``) --------
+
+    @staticmethod
+    def _owned_round(count, times):
+        """A round of ``count`` tasks of group 7, whose first task
+        owner ``a`` took at t=10.0 as a warm task (it ran 7 before);
+        ``b`` has no group of its own left, so it can only steal."""
+        a, b = object(), object()
+        queue = _TaskQueue(
+            [(k, "t") for k in range(count)], [7] * count, {}, times
+        )
+        assert queue.take(a, now=10.0)[1][1][0] == 0
+        times.ran[a] = {7}
+        times.start(a, 7, 10.0)
+        return queue, a, b
+
+    @staticmethod
+    def _times(cold=1.0, warm=0.2):
+        times = _GroupTimes()
+        times.cold[7] = cold
+        times.warm[7] = times.last_warm = warm
+        return times
+
+    def test_busy_owner_that_drains_sooner_keeps_the_task(self):
+        """Drain 0.1 s left of the owner's task + one queued warm task
+        (0.2 s) = 0.3 s, below the 1.0 s cold time: the thief waits,
+        and the pool is told when the owner would turn overdue."""
+        queue, a, b = self._owned_round(2, self._times())
+        assert queue.take(b, now=10.1) is None
+        assert queue.recheck == 11.0
+        assert queue  # the task is still queued, for its owner
+        times = queue._times
+        times.finish(a, 10.2, True)
+        assert queue.take(a, now=10.2)[1][1][0] == 1
+
+    def test_cold_time_below_drain_is_stolen(self):
+        """Drain 0.1 + 4 x 0.2 = 0.9 s, above a 0.25 s cold time: the
+        thief steals the newest task."""
+        queue, _a, b = self._owned_round(5, self._times(cold=0.25))
+        assert queue.take(b, now=10.1)[1][1][0] == 4
+        assert queue.recheck is None
+
+    def test_unmeasured_warm_time_falls_back_to_the_pools(self):
+        """No warm time in group 7 yet: the drain uses the last warm
+        time of any group, so one more queued task stays put."""
+        times = _GroupTimes()
+        times.cold[7] = 1.0
+        times.last_warm = 0.2
+        queue, _a, b = self._owned_round(2, times)
+        assert queue.take(b, now=10.1) is None
+
+    @pytest.mark.parametrize("case", ["unmeasured", "ran", "overdue"])
+    def test_steals_as_before(self, case):
+        """With the group's cold time not measured (only another
+        group's warm time is), after the thief has run the group, or
+        once the owner's task has outrun the cold time, the thief
+        steals the newest task even though the owner would drain
+        first."""
+        if case == "unmeasured":
+            times = _GroupTimes()
+            times.last_warm = 0.2
+        else:
+            times = self._times()
+        queue, _a, b = self._owned_round(2, times)
+        now = 10.1
+        if case == "ran":
+            times.ran[b] = {7}
+        elif case == "overdue":
+            now = 11.05
+        assert queue.take(b, now=now)[1][1][0] == 1
+
+    def test_group_times_follow_results_not_kills(self):
+        """Cold is the group's first measured task, warm the last one on
+        a worker that ran the group; a failed attempt records nothing,
+        and a killed worker's history and running task go."""
+        a, b = object(), object()
+        times = _GroupTimes()
+        times.start(a, 7, 0.0)
+        times.finish(a, 0.5, False)
+        assert times.cold == {} and times.ran == {}
+        times.start(a, 7, 1.0)
+        times.finish(a, 1.5, True)
+        times.start(a, 7, 2.0)
+        times.finish(a, 2.1, True)
+        times.start(b, 7, 2.0)
+        times.finish(b, 2.4, True)  # b's first: cold, already measured
+        assert times.cold == {7: 0.5}
+        assert times.warm == {7: pytest.approx(0.1)}
+        times.start(a, 7, 3.0)
+        times.forget(a)
+        assert a not in times.ran and a not in times.running
+        assert times.ran[b] == {7}
+
+    def test_declined_steal_is_asked_again_when_owner_overruns(self):
+        """Unsupervised, a thief that waited does not sit out the
+        owner's long task: the pool wakes once the owner has run past
+        the group's cold time, and the thief steals the queued task."""
+        scenario = get_preset("tiny", 2016)
+        executor = WorkerWatchdog(scenario, {"task_body": _sleep_body}, 2)
+        try:
+            executor.run_tasks([(0, "a", 0.0), (1, "b", 0.0)], [10, 20])
+            owner, thief = executor._workers
+            assert executor._owners == {10: owner, 20: thief}
+            times = executor._times
+            times.cold[10] = 0.3
+            times.warm[10] = times.last_warm = 0.01
+            outcomes = executor.run_tasks(
+                [(2, "slow", 1.0), (3, "queued", 0.0)], [10, 10]
+            )
+            assert outcomes[2][0] == owner.process.pid
+            assert outcomes[3][0] == thief.process.pid
+        finally:
+            executor.close()
+
+    def test_respawn_clears_the_workers_history(self):
+        scenario = get_preset("tiny", 2016)
+        executor = WorkerWatchdog(scenario, {"task_body": _pid_body}, 2)
+        try:
+            executor.run_tasks([(0, "t0"), (1, "t1")], [10, 20])
+            times = executor._times
+            first, second = executor._workers
+            assert set(times.cold) == {10, 20}
+            assert times.ran == {first: {10}, second: {20}}
+            assert times.running == {}
+            executor._respawn(first)
+            assert times.ran == {second: {20}}
+        finally:
+            executor.close()
+        assert executor._times.ran == {} and executor._times.cold == {}
 
 
 class TestParentClock:

@@ -51,6 +51,10 @@ from repro.faults.supervisor import (
     run_vp_attempt,
     vp_attempt_body,
 )
+from repro.integrity import (
+    canonical_members_bytes,
+    checksummed_members_bytes,
+)
 from repro.probing.artifacts import (
     CHECKSUM_KEY,
     atomic_write_text,
@@ -758,6 +762,57 @@ class TestArtifactIntegrity:
         data = checksummed_json_bytes(record)
         assert data == canonical_json_bytes(embed_checksum(record))
         assert record_line(record) == data.decode("utf-8")
+
+    @staticmethod
+    def _spliced(value):
+        """``value``'s canonical bytes, with every nested map spliced
+        from its members' bytes as a pool worker splices an attempt."""
+        if isinstance(value, dict):
+            return canonical_members_bytes(
+                {key: TestArtifactIntegrity._spliced(v)
+                 for key, v in value.items()}
+            )
+        return canonical_json_bytes(value)
+
+    @settings(max_examples=300)
+    @given(st.dictionaries(_KEYS, _JSON, max_size=8))
+    @example({})
+    @example({CHECKSUM_KEY: "stale"})
+    @example({
+        "attempts": {"mlab-iad": 2, "\u00e9t\u00e9": 1},
+        "completed": {"mlab-iad": {
+            "inprefix": [], "rows": [[0, None], [1, 3]],
+            "quality": {"checked": 2, "degraded": [],
+                        "quarantined": [{"rtt": 0.25, "vp": "\u00e9"}]},
+        }},
+        "z": [None, -1.5e-300, {"a": {}}],
+    })
+    def test_member_splice_equals_whole_record(self, record):
+        """A record spliced from pre-encoded members — nested maps
+        spliced too — is byte for byte the record encoded whole, by
+        the two-pass oracle, ``checksummed_json_bytes`` and
+        ``record_line``."""
+        members = {key: self._spliced(value) for key, value in record.items()}
+        data = checksummed_members_bytes(members)
+        assert data == canonical_json_bytes(embed_checksum(record))
+        assert data == checksummed_json_bytes(record)
+        assert data.decode("utf-8") == record_line(record)
+        body = {k: v for k, v in record.items() if k != CHECKSUM_KEY}
+        assert canonical_members_bytes(
+            {k: v for k, v in members.items() if k != CHECKSUM_KEY}
+        ) == canonical_json_bytes(body)
+
+    @given(st.lists(st.lists(_JSON, max_size=3), max_size=4))
+    @example([[], [{"vp": "a"}], [], [None, 0.5, "\u00e9"]])
+    def test_joined_lists_equal_the_concatenation(self, lists):
+        """The sidecar's ``records``/``degraded`` splice: per-VP list
+        bytes joined in order are the concatenated list's bytes."""
+        from repro.faults.campaign import _joined_lists
+
+        whole = [item for part in lists for item in part]
+        assert _joined_lists(
+            [canonical_json_bytes(part) for part in lists]
+        ) == canonical_json_bytes(whole)
 
     def test_checksum_roundtrip(self):
         record = {"b": 2, "a": [1, 2]}
