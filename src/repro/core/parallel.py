@@ -475,16 +475,17 @@ class _TaskQueue:
        thief warms that group's caches once, so no worker idles while
        a task waits that it can finish sooner than the owner).
 
-    With ``times`` (:class:`_GroupTimes`), a thief that never ran a
-    group steals from it only when the group's cold time is below its
-    owner's *drain time*: what remains of the owner's running task plus
-    each task queued in the owner's groups times that group's warm
-    time. It steals as without ``times`` when the group's cold time or
-    a duration the drain needs is not measured yet, or when the owner's
-    running task has already run longer than that cold time (a hung
-    owner's queue still drains before the watchdog fires). A thief
-    that may steal from no group takes nothing and waits; ``recheck``
-    says when the first owner it waited on would turn overdue.
+    ``times`` (:class:`_GroupTimes`; default: none measured) holds the
+    pool's durations. A thief that never ran a group steals from it
+    only when the group's cold time is below its owner's *drain time*:
+    what remains of the owner's running task plus each task queued in
+    the owner's groups times that group's warm time. It steals
+    regardless when the group's cold time or a duration the drain needs
+    is not measured yet, or when the owner's running task has already
+    run longer than that cold time (a hung owner's queue still drains
+    before the watchdog fires). A thief that may steal from no group
+    takes nothing and waits; ``recheck`` says when the first owner it
+    waited on would turn overdue.
 
     Ungrouped tasks (group ``None``) are never owned, so a round
     without groups is dispatched first in, first out.
@@ -498,7 +499,7 @@ class _TaskQueue:
         times: Optional[_GroupTimes] = None,
     ) -> None:
         self._owners = owners
-        self._times = times
+        self._times = _GroupTimes() if times is None else times
         #: group -> its queued ``(sequence, task)``s, oldest first.
         self._queues: Dict[Hashable, deque] = {}
         for seq, task in enumerate(tasks):
@@ -535,14 +536,13 @@ class _TaskQueue:
                     owners[group] = handle
                 item = queue.popleft()
             else:
-                if self._times is not None:
-                    now = time.monotonic() if now is None else now
-                    queued = [
-                        (g, q) for g, q in queued
-                        if self._may_steal(handle, g, now)
-                    ]
-                    if not queued:
-                        return None
+                now = time.monotonic() if now is None else now
+                queued = [
+                    (g, q) for g, q in queued
+                    if self._may_steal(handle, g, now)
+                ]
+                if not queued:
+                    return None
                 group, queue = max(queued, key=lambda gq: gq[1][-1][0])
                 item = queue.pop()
         self._size -= 1
@@ -826,8 +826,8 @@ class WorkerWatchdog:
         while len(self._workers) < want:
             self._workers.append(self._spawn_worker())
 
-        times = self._times
-        queue = _TaskQueue(tasks, groups, self._owners, times)
+        group_times = self._times
+        queue = _TaskQueue(tasks, groups, self._owners, group_times)
         raw_results: List[tuple] = []
         in_flight = 0
 
@@ -861,7 +861,7 @@ class WorkerWatchdog:
                     queue.put_back(group, item)
                     self._respawn(handle)
                     return
-                times.start(handle, group, time.monotonic())
+                group_times.start(handle, group, time.monotonic())
                 in_flight += 1
 
         def fail_task(
@@ -891,12 +891,12 @@ class WorkerWatchdog:
             tries = handle.tries
             handle.task = None
             in_flight -= 1
-            group = times.running[handle][0]
+            group = group_times.running[handle][0]
             fresh = self._respawn(handle)
             if supervised and tries < self.config.task_tries:
                 fresh.tries = tries + 1  # budget follows the task
                 if send(fresh, task):
-                    times.start(fresh, group, time.monotonic())
+                    group_times.start(fresh, group, time.monotonic())
                     in_flight += 1
                     return
             outcomes[task[0]] = (None, kind, detail)
@@ -951,7 +951,7 @@ class WorkerWatchdog:
                 outcomes[key] = (
                     result, "ok" if error is None else "failed", error
                 )
-                times.finish(handle, now, error is None)
+                group_times.finish(handle, now, error is None)
                 handle.task = None
                 handle.tries = 0
                 in_flight -= 1
